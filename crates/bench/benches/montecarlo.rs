@@ -3,7 +3,9 @@
 //! query shapes that miss every theorem pattern.
 //!
 //! These are the shapes the PR-2 changelog flagged as the serving-path
-//! trap — each one used to fall into a 1–14 s maxent sweep:
+//! trap — each one used to fall into a 1–14 s maxent sweep, which the
+//! projected-Newton dual solver has since cut to 0.2–0.4 ms, so the
+//! "speedup" column now reads well below 1:
 //!
 //! * `!!φ(c)` — double negation defeats the syntactic matchers (the
 //!   answer cache canonicalizes it away, but only on a repeat);

@@ -111,6 +111,7 @@ fn main() {
         median_timed(|| engine.answer_batch_report(&kb, &queries, &BatchOptions::sequential()));
     let reference = beliefs(&baseline_run);
     assert_eq!(baseline_run.report.failed, 0, "workload must be answerable");
+    assert_eq!(baseline_run.report.threads, 1, "the baseline runs inline");
     row("sequential, no cache (baseline)", baseline, baseline, "");
 
     let mut all_identical = true;

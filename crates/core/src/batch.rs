@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a batch should be executed.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct BatchOptions {
     /// Worker threads: `0` means one per available core, `1` (the
     /// default) runs inline on the calling thread.
@@ -40,6 +40,16 @@ pub struct BatchOptions {
     /// installed cache ([`RandomWorlds::with_cache`]); to run a batch
     /// uncached on a cache-carrying engine, pass a fresh throwaway cache.
     pub cache: Option<Arc<AnswerCache>>,
+}
+
+impl Default for BatchOptions {
+    /// Sequential (`threads: 1`), no per-batch cache override.
+    fn default() -> BatchOptions {
+        BatchOptions {
+            threads: 1,
+            cache: None,
+        }
+    }
 }
 
 impl BatchOptions {
@@ -574,6 +584,18 @@ mod tests {
             RandomWorlds::new().answer_batch_report(&kb, &queries, &BatchOptions::threaded(8));
         assert_eq!(run.report.threads, 1);
         assert_eq!(run.report.answered, 1);
+    }
+
+    #[test]
+    fn default_options_run_inline() {
+        // Duplicate queries in a sequential batch must hit the cache the
+        // first occurrence filled; two racing workers could both miss.
+        assert_eq!(BatchOptions::default().threads, 1);
+        assert_eq!(BatchOptions::sequential().threads, 1);
+        let kb = kb();
+        let queries = vec!["Hep(Eric)".to_string(); 3];
+        let run = RandomWorlds::new().answer_batch_report(&kb, &queries, &BatchOptions::default());
+        assert_eq!(run.report.threads, 1);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! the answer was computed against.
 //!
 //! Storage is sharded ([`AnswerCache::with_shards`]): each shard is a
-//! small `Mutex<HashMap>`, so concurrent batch workers contend on
+//! small `Mutex<HashSet>`, so concurrent batch workers contend on
 //! (1/shards) of the map instead of one global lock, and hits produced
-//! by one worker are immediately visible to the others. Hit/miss
-//! counters are lock-free atomics.
+//! by one worker are immediately visible to the others. Each entry is
+//! one heap record holding the key and the encoded answer, so a cached answer costs one allocation plus a 16-byte
+//! table slot. Hit/miss counters are lock-free atomics.
 //!
 //! What is cached is the *semantic* answer — [`Belief`] plus
 //! [`Provenance`] — never the per-query [`crate::Trace`] (a cache hit
@@ -25,7 +26,9 @@
 use crate::belief::{Belief, Provenance};
 use rw_logic::canon::fnv1a;
 use rw_worlds::ScaledCount;
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -69,7 +72,7 @@ impl CachedAnswer {
 /// ```
 #[derive(Debug)]
 pub struct AnswerCache {
-    shards: Vec<Mutex<HashMap<String, CachedAnswer>>>,
+    shards: Vec<Mutex<HashSet<Entry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -85,7 +88,7 @@ impl AnswerCache {
     pub fn with_shards(n: usize) -> AnswerCache {
         let n = n.max(1);
         AnswerCache {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(HashSet::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -98,7 +101,7 @@ impl AnswerCache {
         format!("{kb_fingerprint:016x}|{canonical_query}")
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, CachedAnswer>> {
+    fn shard(&self, key: &str) -> &Mutex<HashSet<Entry>> {
         let i = (fnv1a(key.as_bytes()) as usize) % self.shards.len();
         &self.shards[i]
     }
@@ -111,7 +114,7 @@ impl AnswerCache {
             .lock()
             .expect("cache shard poisoned")
             .get(key)
-            .cloned();
+            .map(Entry::answer);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -119,13 +122,15 @@ impl AnswerCache {
         found
     }
 
-    /// Stores an answer. Concurrent inserts of the same key are benign:
-    /// both workers computed the same semantic answer.
+    /// Stores an answer, replacing any entry under the same key.
+    /// Concurrent inserts of the same key are benign: both workers
+    /// computed the same semantic answer.
     pub fn insert(&self, key: String, answer: CachedAnswer) {
+        let entry = Entry::new(&key, &answer);
         self.shard(&key)
             .lock()
             .expect("cache shard poisoned")
-            .insert(key, answer);
+            .replace(entry);
     }
 
     /// Lookups that found an entry, since construction or [`Self::clear`].
@@ -163,7 +168,7 @@ impl AnswerCache {
         let mut out: Vec<(String, CachedAnswer)> = Vec::with_capacity(self.len());
         for s in &self.shards {
             let shard = s.lock().expect("cache shard poisoned");
-            out.extend(shard.iter().map(|(k, v)| (k.clone(), v.clone())));
+            out.extend(shard.iter().map(|e| (e.key().to_string(), e.answer())));
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -191,6 +196,228 @@ impl AnswerCache {
 impl Default for AnswerCache {
     fn default() -> AnswerCache {
         AnswerCache::new()
+    }
+}
+
+/// One [`AnswerCache`] entry in a single allocation:
+/// `[key length: u32 LE][key bytes][encoded Belief][encoded Provenance]`.
+///
+/// Hashing and equality look at the key part only, and the entry borrows
+/// as that key, so a shard's `HashSet<Entry>` is a map probed by `&str`.
+/// Numbers are fixed-width little-endian (`f64`s as their bit patterns,
+/// so a decoded answer is bit-identical to the inserted one).
+struct Entry(Box<[u8]>);
+
+const KEY_LEN_BYTES: usize = 4;
+
+impl Entry {
+    fn new(key: &str, answer: &CachedAnswer) -> Entry {
+        let len = u32::try_from(key.len()).expect("cache key under 4 GiB");
+        let mut buf = Vec::with_capacity(KEY_LEN_BYTES + key.len() + 16);
+        buf.extend_from_slice(&len.to_le_bytes());
+        buf.extend_from_slice(key.as_bytes());
+        encode_belief(&answer.belief, &mut buf);
+        encode_provenance(&answer.provenance, &mut buf);
+        Entry(buf.into_boxed_slice())
+    }
+
+    fn key_len(&self) -> usize {
+        let mut len = [0u8; KEY_LEN_BYTES];
+        len.copy_from_slice(&self.0[..KEY_LEN_BYTES]);
+        u32::from_le_bytes(len) as usize
+    }
+
+    fn key(&self) -> &str {
+        let bytes = &self.0[KEY_LEN_BYTES..KEY_LEN_BYTES + self.key_len()];
+        std::str::from_utf8(bytes).expect("entry keys are written from &str")
+    }
+
+    fn answer(&self) -> CachedAnswer {
+        let mut r = Reader(&self.0[KEY_LEN_BYTES + self.key_len()..]);
+        let belief = r.belief();
+        let provenance = r.provenance();
+        debug_assert!(r.0.is_empty(), "trailing bytes after a cached answer");
+        CachedAnswer { belief, provenance }
+    }
+}
+
+impl std::fmt::Debug for Entry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Entry").field(&self.key()).finish()
+    }
+}
+
+impl Hash for Entry {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state)
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Entry) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Entry {}
+
+impl Borrow<str> for Entry {
+    fn borrow(&self) -> &str {
+        self.key()
+    }
+}
+
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    put_u64(buf, v.to_bits());
+}
+
+fn encode_belief(belief: &Belief, buf: &mut Vec<u8>) {
+    match belief {
+        Belief::Point(v) => {
+            buf.push(0);
+            put_f64(buf, *v);
+        }
+        Belief::Interval(lo, hi) => {
+            buf.push(1);
+            put_f64(buf, *lo);
+            put_f64(buf, *hi);
+        }
+        Belief::NonRobust(vs) => {
+            buf.push(2);
+            put_u64(buf, vs.len() as u64);
+            for v in vs {
+                put_f64(buf, *v);
+            }
+        }
+        Belief::Approximate {
+            value,
+            ci_half_width,
+        } => {
+            buf.push(3);
+            put_f64(buf, *value);
+            put_f64(buf, *ci_half_width);
+        }
+        Belief::Undefined => buf.push(4),
+    }
+}
+
+fn encode_provenance(provenance: &Provenance, buf: &mut Vec<u8>) {
+    match provenance {
+        Provenance::DirectInference => buf.push(0),
+        Provenance::MinimalReferenceClass => buf.push(1),
+        Provenance::StrengthRule => buf.push(2),
+        Provenance::Dempster => buf.push(3),
+        Provenance::Independence(parts) => {
+            buf.push(4);
+            put_u64(buf, parts.len() as u64);
+            for part in parts {
+                encode_provenance(part, buf);
+            }
+        }
+        Provenance::UniqueNames => buf.push(5),
+        Provenance::NestedDefault => buf.push(6),
+        Provenance::MaxEnt => buf.push(7),
+        Provenance::UnaryExact { max_n } => {
+            buf.push(8);
+            put_u64(buf, *max_n as u64);
+        }
+        Provenance::Enumeration {
+            max_n,
+            visited,
+            branched,
+            orbits,
+        } => {
+            buf.push(9);
+            for v in [*max_n as u64, *visited, *branched, *orbits] {
+                put_u64(buf, v);
+            }
+        }
+        Provenance::Entailed => buf.push(10),
+        Provenance::MonteCarlo {
+            drawn,
+            accepted,
+            n_points,
+        } => {
+            buf.push(11);
+            for v in [*drawn, *accepted, *n_points as u64] {
+                put_u64(buf, v);
+            }
+        }
+    }
+}
+
+/// Decodes what [`encode_belief`] / [`encode_provenance`] wrote. Entries
+/// are only ever built by [`Entry::new`], so malformed bytes are a bug.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn byte(&mut self) -> u8 {
+        let (b, rest) = self.0.split_first().expect("truncated cache entry");
+        self.0 = rest;
+        *b
+    }
+
+    fn u64(&mut self) -> u64 {
+        let (head, rest) = self.0.split_at(8);
+        self.0 = rest;
+        u64::from_le_bytes(head.try_into().expect("8 bytes"))
+    }
+
+    fn f64(&mut self) -> f64 {
+        f64::from_bits(self.u64())
+    }
+
+    fn belief(&mut self) -> Belief {
+        match self.byte() {
+            0 => Belief::Point(self.f64()),
+            1 => Belief::Interval(self.f64(), self.f64()),
+            2 => {
+                let n = self.u64() as usize;
+                Belief::NonRobust((0..n).map(|_| self.f64()).collect())
+            }
+            3 => Belief::Approximate {
+                value: self.f64(),
+                ci_half_width: self.f64(),
+            },
+            4 => Belief::Undefined,
+            tag => unreachable!("belief tag {tag}"),
+        }
+    }
+
+    fn provenance(&mut self) -> Provenance {
+        match self.byte() {
+            0 => Provenance::DirectInference,
+            1 => Provenance::MinimalReferenceClass,
+            2 => Provenance::StrengthRule,
+            3 => Provenance::Dempster,
+            4 => {
+                let n = self.u64() as usize;
+                Provenance::Independence((0..n).map(|_| Box::new(self.provenance())).collect())
+            }
+            5 => Provenance::UniqueNames,
+            6 => Provenance::NestedDefault,
+            7 => Provenance::MaxEnt,
+            8 => Provenance::UnaryExact {
+                max_n: self.u64() as usize,
+            },
+            9 => Provenance::Enumeration {
+                max_n: self.u64() as usize,
+                visited: self.u64(),
+                branched: self.u64(),
+                orbits: self.u64(),
+            },
+            10 => Provenance::Entailed,
+            11 => Provenance::MonteCarlo {
+                drawn: self.u64(),
+                accepted: self.u64(),
+                n_points: self.u64() as usize,
+            },
+            tag => unreachable!("provenance tag {tag}"),
+        }
     }
 }
 
@@ -477,6 +704,94 @@ mod tests {
         let fresh = DenomCache::new();
         fresh.restore(denoms.export());
         assert_eq!(fresh.get(&key), Some(ScaledCount::new(5, 100)));
+    }
+
+    #[test]
+    fn every_answer_shape_roundtrips_bit_exactly() {
+        let beliefs = [
+            Belief::Point(0.8),
+            Belief::Point(-0.0),
+            Belief::Interval(0.25, 0.75),
+            Belief::NonRobust(vec![]),
+            Belief::NonRobust(vec![0.600027, 1.0 - 1e-12, 1e-300]),
+            Belief::Approximate {
+                value: 0.65,
+                ci_half_width: 0.0565,
+            },
+            Belief::Undefined,
+        ];
+        let provenances = [
+            Provenance::DirectInference,
+            Provenance::MinimalReferenceClass,
+            Provenance::StrengthRule,
+            Provenance::Dempster,
+            Provenance::Independence(vec![]),
+            Provenance::Independence(vec![
+                Box::new(Provenance::DirectInference),
+                Box::new(Provenance::Independence(vec![
+                    Box::new(Provenance::MaxEnt),
+                    Box::new(Provenance::UnaryExact { max_n: 40 }),
+                ])),
+                Box::new(Provenance::Dempster),
+            ]),
+            Provenance::UniqueNames,
+            Provenance::NestedDefault,
+            Provenance::MaxEnt,
+            Provenance::UnaryExact { max_n: usize::MAX },
+            Provenance::Enumeration {
+                max_n: 8,
+                visited: u64::MAX,
+                branched: 12_345,
+                orbits: 0,
+            },
+            Provenance::Entailed,
+            Provenance::MonteCarlo {
+                drawn: 1 << 40,
+                accepted: 7,
+                n_points: 3,
+            },
+        ];
+        let cache = AnswerCache::with_shards(3);
+        let mut inserted = Vec::new();
+        for (i, belief) in beliefs.iter().enumerate() {
+            for (j, provenance) in provenances.iter().enumerate() {
+                let key = AnswerCache::key(i as u64, &format!("q{j}|ünïcode"));
+                let answer = CachedAnswer {
+                    belief: belief.clone(),
+                    provenance: provenance.clone(),
+                };
+                cache.insert(key.clone(), answer.clone());
+                inserted.push((key, answer));
+            }
+        }
+        assert_eq!(cache.len(), inserted.len());
+        for (key, answer) in &inserted {
+            let got = cache.get(key).unwrap();
+            // Debug output round-trips every f64, so this is bit-exact
+            // (unlike `==`, which equates 0.0 and -0.0).
+            assert_eq!(format!("{got:?}"), format!("{answer:?}"), "{key}");
+        }
+        inserted.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(cache.export(), inserted);
+    }
+
+    #[test]
+    fn insert_replaces_an_existing_entry() {
+        let cache = AnswerCache::with_shards(1);
+        let k = AnswerCache::key(3, "q");
+        cache.insert(k.clone(), answer(0.25));
+        cache.insert(
+            k.clone(),
+            CachedAnswer {
+                belief: Belief::NonRobust(vec![0.0, 1.0]),
+                provenance: Provenance::MaxEnt,
+            },
+        );
+        assert_eq!(cache.len(), 1);
+        assert_eq!(
+            cache.get(&k).unwrap().belief,
+            Belief::NonRobust(vec![0.0, 1.0])
+        );
     }
 
     #[test]

@@ -125,8 +125,8 @@ impl RandomWorlds {
     /// ).unwrap();
     /// let engine = RandomWorlds::new().with_approx(McConfig::default());
     /// // A conjunction over individuals sharing statistics misses every
-    /// // theorem pattern; the sampler answers it with a CI instead of a
-    /// // multi-second maxent sweep.
+    /// // theorem pattern; the sampler, which runs before the exact
+    /// // stages, answers it with a CI.
     /// let r = engine.answer(&kb, "Hep(Eric) & Hep(Tom)").unwrap();
     /// assert!(matches!(r.belief, Belief::Approximate { .. }));
     /// assert!(matches!(r.provenance, Provenance::MonteCarlo { .. }));
@@ -872,8 +872,8 @@ mod tests {
 
     #[test]
     fn asserted_ground_facts_answer_in_the_theorem_stage() {
-        // The PR-2 serving trap: these shapes used to miss every theorem
-        // pattern and fall into a multi-second maxent sweep.
+        // The PR-2 serving trap: without this pattern these shapes fall
+        // into the maxent sweep (0.2–0.4 ms, against microseconds here).
         let kb_src = "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Patient(Eric); !Jaun(Tom)";
         for (q, expect) in [
             ("Jaun(Eric)", 1.0),                 // bare asserted fact

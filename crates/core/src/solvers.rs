@@ -116,9 +116,10 @@ impl Solver for MaxEntSolver {
 /// fraction along an `N`-sweep, with confidence intervals.
 ///
 /// A bounded-cost, anytime stage for queries that miss every theorem
-/// pattern and would otherwise fall into the (much slower) maxent or
-/// counting stages. Sampling is KB-aware (asserted facts forced, unary
-/// statistics proposed at their nominal rates — see
+/// pattern and would otherwise fall into the counting stages (doubly
+/// exponential in `N`; on unary KBs the maxent stage behind it is
+/// faster, at 20–400 µs per answer). Sampling is KB-aware (asserted
+/// facts forced, unary statistics proposed at their nominal rates — see
 /// [`rw_worlds::mc::SamplePlan`]), stops adaptively once the 95% CI
 /// half-width reaches the configured target, and answers with
 /// [`Belief::Approximate`] so the uncertainty is part of the answer.

@@ -90,9 +90,10 @@ fn permutations(k: usize) -> Vec<Vec<usize>> {
 /// satisfies each conjunct, Def 4.2) or with one conjunct asserted with
 /// the opposite polarity (belief 0: no KB-world satisfies it).
 ///
-/// This covers the serving-path traps that previously fell through to a
-/// multi-second maxent sweep: bare asserted facts (`Jaun(Eric)`), double
-/// negations (`!!P(c)`), and conjunctions of asserted ground literals.
+/// This covers the serving-path traps that previously fell through to
+/// the maxent sweep (0.2–0.4 ms per answer, against microseconds here):
+/// bare asserted facts (`Jaun(Eric)`), double negations (`!!P(c)`), and
+/// conjunctions of asserted ground literals.
 ///
 /// Side conditions (all checked; any failure declines to the semantic
 /// stages):

@@ -16,7 +16,7 @@
 //! while *equal* strengths (a shared `≈_i`) give 1/2.
 
 use crate::constraints::{compile, CompileError, UnaryConstraintSystem};
-use crate::entropy::EntropyError;
+use crate::entropy::{DualSolution, EntropyError};
 use rw_logic::analysis;
 use rw_logic::ast::{Formula, TolId};
 use rw_logic::{ConstId, KnowledgeBase, Pretty, Tolerances};
@@ -100,13 +100,13 @@ impl std::fmt::Display for MaxentError {
 impl std::error::Error for MaxentError {}
 
 fn solve_system(sys: &UnaryConstraintSystem) -> Result<Vec<f64>, MaxentError> {
-    solve_system_warm(sys, None).map(|(p, _)| p)
+    solve_system_warm(sys, None).map(|s| s.point)
 }
 
 fn solve_system_warm(
     sys: &UnaryConstraintSystem,
     warm: Option<&[f64]>,
-) -> Result<(Vec<f64>, Vec<f64>), MaxentError> {
+) -> Result<DualSolution, MaxentError> {
     if sys.exists_violated() {
         return Err(MaxentError::Infeasible);
     }
@@ -138,11 +138,10 @@ fn solve_system_warm(
         }
     }
     let rows: Vec<(Vec<f64>, f64)> = sys.rows.iter().map(|r| (r.coeffs.clone(), r.rhs)).collect();
-    match crate::entropy::maximize_entropy_dual_warm(&rows, &sys.zero, sys.atoms, warm) {
-        Ok(pl) => Ok(pl),
-        Err(EntropyError::Infeasible) => Err(MaxentError::Infeasible),
-        Err(e) => Err(MaxentError::Numeric(e.to_string())),
-    }
+    crate::entropy::solve_dual(&rows, &sys.zero, sys.atoms, warm).map_err(|e| match e {
+        EntropyError::Infeasible => MaxentError::Infeasible,
+        e => MaxentError::Numeric(e.to_string()),
+    })
 }
 
 /// A query compiled to per-constant atom sets: the value at a maxent point
@@ -212,6 +211,29 @@ fn query_value(
     Some(value)
 }
 
+/// The tolerance vectors of one sweep, largest first. Every index shrinks
+/// by `factor` per step; the accelerated one (if any) starts a factor²
+/// lower and shrinks by factor² per step.
+fn sweep_tolerances(config: &SweepConfig, accelerate: Option<TolId>) -> Vec<Tolerances> {
+    let mut tol = config.tau0.clone();
+    if let Some(idx) = accelerate {
+        // Give the accelerated index a head start so the asymmetry is
+        // visible even after few steps.
+        let accelerated = tol.get(idx) * config.factor * config.factor;
+        tol = tol.with(idx, accelerated);
+    }
+    let mut out = Vec::with_capacity(config.steps);
+    for _ in 0..config.steps {
+        let next = tol.scaled(config.factor);
+        out.push(std::mem::replace(&mut tol, next));
+        if let Some(idx) = accelerate {
+            let accelerated = tol.get(idx) * config.factor;
+            tol = tol.with(idx, accelerated);
+        }
+    }
+    out
+}
+
 /// One sweep along a fixed shrinkage path; returns the extrapolated limit.
 fn sweep(
     kb: &KnowledgeBase,
@@ -221,28 +243,14 @@ fn sweep(
 ) -> Result<Option<f64>, MaxentError> {
     let n = atom_count(kb.vocab());
     let mut values: Vec<f64> = Vec::with_capacity(config.steps);
-    let mut tol = config.tau0.clone();
-    if let Some(idx) = accelerate {
-        // Give the accelerated index a head start so the asymmetry is
-        // visible even after few steps.
-        let accelerated = tol.get(idx) * config.factor * config.factor;
-        tol = tol.with(idx, accelerated);
-    }
     let mut warm: Option<Vec<f64>> = None;
-    for step in 0..config.steps {
+    for tol in sweep_tolerances(config, accelerate) {
         let sys = compile(kb, &tol)?;
-        let (point, lambda) = solve_system_warm(&sys, warm.as_deref())?;
-        warm = Some(lambda);
-        if let Some(v) = query_value(q, &sys, &point, n) {
+        let solution = solve_system_warm(&sys, warm.as_deref())?;
+        if let Some(v) = query_value(q, &sys, &solution.point, n) {
             values.push(v);
         }
-        // Shrink: the accelerated index shrinks by factor² per step.
-        tol = tol.scaled(config.factor);
-        if let Some(idx) = accelerate {
-            let accelerated = tol.get(idx) * config.factor;
-            tol = tol.with(idx, accelerated);
-        }
-        let _ = step;
+        warm = Some(solution.lambda);
     }
     if values.len() < 2 {
         return Ok(values.last().copied());
@@ -477,6 +485,75 @@ mod tests {
             0.32,
             2e-3,
         );
+    }
+
+    /// Newton steps each sweep takes: the uniform path, then one
+    /// accelerated path per tolerance index of the KB.
+    fn sweep_steps(kb_src: &str) -> Vec<usize> {
+        let kb = KnowledgeBase::parse(kb_src).unwrap();
+        let config = SweepConfig::default();
+        let mut paths = vec![None];
+        for c in kb.conjuncts() {
+            for idx in analysis::tolerance_indices(c) {
+                if !paths.contains(&Some(idx)) {
+                    paths.push(Some(idx));
+                }
+            }
+        }
+        paths
+            .into_iter()
+            .map(|accelerate| {
+                let mut warm: Option<Vec<f64>> = None;
+                let mut steps = 0;
+                for tol in sweep_tolerances(&config, accelerate) {
+                    let sys = compile(&kb, &tol).unwrap();
+                    // `Ok` means the KKT residual fell below 1e-11.
+                    let solution = solve_system_warm(&sys, warm.as_deref())
+                        .unwrap_or_else(|e| panic!("{kb_src} at {tol:?}: {e}"));
+                    steps += solution.steps;
+                    warm = Some(solution.lambda);
+                }
+                steps
+            })
+            .collect()
+    }
+
+    fn assert_sweeps_converge_within(kb_src: &str, budget: usize) {
+        for steps in sweep_steps(kb_src) {
+            assert!(
+                steps <= budget,
+                "{kb_src}: {steps} Newton steps in one sweep"
+            );
+        }
+    }
+
+    #[test]
+    fn unary_statistic_sweeps_converge_in_few_newton_steps() {
+        for a in ["0.21", "0.45", "0.68"] {
+            assert_sweeps_converge_within(&format!("||P(x)||_x ~=_1 {a}"), 60);
+            for b in ["0.30", "0.50", "0.70"] {
+                assert_sweeps_converge_within(
+                    &format!("||P(x) | Q(x)||_x ~=_1 {a}; ||Q(x)||_x ~=_1 {b}"),
+                    60,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tau_squared_scale_sweeps_converge_in_few_newton_steps() {
+        // Exceptional-subclass inheritance puts atoms at scale τ², the
+        // worst conditioning the dual meets; conflicting defaults put
+        // multipliers on both rows of nearly opposite pairs.
+        for kb in [
+            "Bird(x) ->_1 Fly(x); Penguin(x) ->_2 !Fly(x); \
+             Bird(x) ->_3 Warm-blooded(x); \
+             forall x (Penguin(x) => Bird(x)); Penguin(Tweety)",
+            "||Q(x) | P(x) & S(x)||_x ~=_1 1; ||Q(x) | R(x)||_x ~=_2 0; \
+             P(C); S(C); R(C)",
+        ] {
+            assert_sweeps_converge_within(kb, 60);
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Random-worlds inference cost is wildly shape-dependent: the same
 //! pipeline answers a direct-inference query in microseconds and then
-//! spends seconds on a maxent sweep or a low-acceptance Monte-Carlo
-//! statistic. This crate is the measurement substrate that makes those
-//! cliffs visible in production instead of by accident:
+//! spends hundreds of milliseconds on a low-acceptance Monte-Carlo
+//! statistic or on exact world counting. This crate is the measurement
+//! substrate that makes those cliffs visible in production instead of by
+//! accident:
 //!
 //! - [`MetricsRegistry`] — named atomic counters, gauges and
 //!   log2-bucketed latency [`Histogram`]s with p50/p90/p99 snapshot
