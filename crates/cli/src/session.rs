@@ -80,16 +80,13 @@ impl SessionOptions {
     /// The sampler configuration the session's flags describe, or `None`
     /// when approximate inference is off.
     pub fn mc_config(&self) -> Option<McConfig> {
-        if !self.approx {
-            return None;
-        }
-        let defaults = McConfig::default();
-        Some(McConfig {
-            seed: self.mc_seed.unwrap_or(defaults.seed),
-            threads: self.threads,
-            max_samples: self.samples.unwrap_or(defaults.max_samples),
-            target_ci: self.ci.unwrap_or(defaults.target_ci),
-            ..defaults
+        self.approx.then(|| {
+            rw_server::ApproxParams {
+                samples: self.samples,
+                seed: self.mc_seed,
+                ci: self.ci,
+            }
+            .mc_config(self.threads)
         })
     }
 }

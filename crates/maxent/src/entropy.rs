@@ -1,38 +1,23 @@
 //! Entropy maximization over a polytope.
 //!
-//! We maximize `H(p) = -Σ p_a ln p_a` over `{p ≥ 0 : A p ≤ b}` (the rows
-//! include the simplex equality `Σ p = 1`). Entropy is strictly concave, so
+//! We maximize `H(p) = -Σ p_a ln p_a` over `{p ∈ Δ : A p ≤ b}`, `Δ` the
+//! probability simplex. Entropy is strictly concave, so
 //! the maximizer — the paper §6's "maximum-entropy point of `S(KB)`" — is
 //! unique whenever the polytope is nonempty.
 //!
-//! Two solvers:
-//!
-//! * [`maximize_entropy_dual`] — the production path. It minimizes the
-//!   convex Gibbs dual over the row multipliers by projected Newton and
-//!   reconstructs the point in closed form, so coordinates at scale `τ²`
-//!   keep full relative precision. A warm-started step of the τ-sweep
-//!   takes two to five Newton steps.
-//! * [`maximize_entropy`] — primal Frank–Wolfe, kept as the benchmark
-//!   ablation. It needs only a linear oracle (one small LP per iteration)
-//!   and respects the polytope exactly; the gradient `-ln p_a - 1` blows up
-//!   on the boundary, and clamping it drives iterates off zero coordinates
-//!   whenever the polytope allows. An exact bisection line search on the
-//!   (monotone) directional derivative replaces the classic `2/(t+2)` step
-//!   size. Its additive gap bound is useless at `τ²` scale.
-
-use crate::simplex::{solve_lp, LpResult};
+//! [`maximize_entropy_dual`] minimizes the convex Gibbs dual over the row
+//! multipliers by projected Newton and reconstructs the point in closed
+//! form, so coordinates at scale `τ²` keep full relative precision. A
+//! warm-started step of the τ-sweep takes two to five Newton steps.
 
 /// Failure modes of entropy maximization.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EntropyError {
     /// The constraint polytope is empty.
     Infeasible,
-    /// The LP oracle failed (numerically unbounded polytope — cannot happen
-    /// for simplex-bounded systems unless the caller forgot the sum rows).
-    Unbounded,
     /// The solver did not reach its tolerance within the iteration budget
-    /// (carries the last point and its optimality gap: the Frank–Wolfe gap,
-    /// or the dual's KKT residual).
+    /// (carries the last point and its optimality gap, the dual's KKT
+    /// residual).
     DidNotConverge { point: Vec<f64>, gap: f64 },
 }
 
@@ -40,7 +25,6 @@ impl std::fmt::Display for EntropyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EntropyError::Infeasible => write!(f, "constraint polytope is empty"),
-            EntropyError::Unbounded => write!(f, "polytope unbounded: missing simplex rows"),
             EntropyError::DidNotConverge { gap, .. } => {
                 write!(
                     f,
@@ -60,116 +44,6 @@ pub fn entropy(p: &[f64]) -> f64 {
         .sum()
 }
 
-const GRAD_CLAMP: f64 = 745.0; // -ln(5e-324): the largest finite -ln p
-
-fn gradient(p: &[f64], out: &mut [f64]) {
-    for (g, &x) in out.iter_mut().zip(p) {
-        *g = if x <= 0.0 {
-            GRAD_CLAMP
-        } else {
-            (-x.ln() - 1.0).min(GRAD_CLAMP)
-        };
-    }
-}
-
-/// Exact line search: maximize `H(p + γ d)` for `γ ∈ [0, 1]`.
-///
-/// The directional derivative `φ'(γ) = Σ d_a (-ln(p_a + γ d_a) - 1)` is
-/// strictly decreasing, so bisection on its sign converges unconditionally.
-fn line_search(p: &[f64], d: &[f64]) -> f64 {
-    let phi_prime = |gamma: f64| -> f64 {
-        p.iter()
-            .zip(d)
-            .map(|(&pi, &di)| {
-                if di == 0.0 {
-                    return 0.0;
-                }
-                let v = (pi + gamma * di).max(1e-18);
-                di * (-v.ln() - 1.0)
-            })
-            .sum()
-    };
-    if phi_prime(1.0) >= 0.0 {
-        return 1.0;
-    }
-    if phi_prime(0.0) <= 0.0 {
-        return 0.0;
-    }
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if phi_prime(mid) > 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-/// Maximizes entropy over `{p ≥ 0 : A p ≤ b}`.
-///
-/// The caller must include rows enforcing `Σ p = 1` (e.g. `Σ p ≤ 1` and
-/// `-Σ p ≤ -1`); [`crate::constraints::UnaryConstraintSystem::rows`] does.
-pub fn maximize_entropy(a: &[Vec<f64>], b: &[f64], n: usize) -> Result<Vec<f64>, EntropyError> {
-    // Starting point: average of the per-coordinate maximizing vertices.
-    // This lands in the relative interior of the feasible region wherever
-    // the region has one, so the entropy gradient is finite on every
-    // coordinate that can be nonzero.
-    let mut start = vec![0.0f64; n];
-    let mut found = 0usize;
-    for j in 0..n {
-        let mut c = vec![0.0; n];
-        c[j] = 1.0;
-        match solve_lp(&c, a, b) {
-            LpResult::Optimal { x, .. } => {
-                for (s, xi) in start.iter_mut().zip(&x) {
-                    *s += xi;
-                }
-                found += 1;
-            }
-            LpResult::Infeasible => return Err(EntropyError::Infeasible),
-            LpResult::Unbounded => return Err(EntropyError::Unbounded),
-        }
-    }
-    if found == 0 {
-        return Err(EntropyError::Infeasible);
-    }
-    let mut p: Vec<f64> = start.iter().map(|s| s / found as f64).collect();
-
-    let mut grad = vec![0.0f64; n];
-    let mut best_gap = f64::INFINITY;
-    for _iter in 0..2000 {
-        gradient(&p, &mut grad);
-        let s = match solve_lp(&grad, a, b) {
-            LpResult::Optimal { x, .. } => x,
-            LpResult::Infeasible => return Err(EntropyError::Infeasible),
-            LpResult::Unbounded => return Err(EntropyError::Unbounded),
-        };
-        let gap: f64 = grad
-            .iter()
-            .zip(s.iter().zip(&p))
-            .map(|(&g, (&si, &pi))| g * (si - pi))
-            .sum();
-        best_gap = best_gap.min(gap.abs());
-        if gap.abs() < 1e-10 {
-            return Ok(p);
-        }
-        let d: Vec<f64> = s.iter().zip(&p).map(|(&si, &pi)| si - pi).collect();
-        let gamma = line_search(&p, &d);
-        if gamma <= 0.0 {
-            return Ok(p);
-        }
-        for (pi, di) in p.iter_mut().zip(&d) {
-            *pi = (*pi + gamma * di).max(0.0);
-        }
-    }
-    Err(EntropyError::DidNotConverge {
-        point: p,
-        gap: best_gap,
-    })
-}
-
 /// Maximizes entropy over `{p ∈ Δ : rows·p ≤ rhs, p_a = 0 for pinned a}` by
 /// solving the *dual* problem in Gibbs form.
 ///
@@ -178,8 +52,8 @@ pub fn maximize_entropy(a: &[Vec<f64>], b: &[f64], n: usize) -> Result<Vec<f64>,
 /// `g(λ) = ln Σ_a exp(-(Aᵀλ)_a) + b·λ`. Because the primal point is
 /// reconstructed in closed form from `λ`, coordinates at scale `τ²` (which
 /// arise in exceptional-subclass inheritance, paper Example 5.20) come out
-/// with full *relative* precision — the regime where Frank–Wolfe's additive
-/// gap bound is useless. The dual is minimized by projected Newton (see
+/// with full *relative* precision, where an additive optimality-gap bound
+/// would be useless. The dual is minimized by projected Newton (see
 /// [`maximize_entropy_dual_warm`]).
 ///
 /// `zero` marks atoms pinned to exactly zero (from universal conjuncts);
@@ -309,10 +183,12 @@ fn solve_dual_capped(
         return Err(EntropyError::Infeasible);
     }
 
-    // Rows with no support on active atoms are vacuous (0 ≤ rhs) or
-    // witness infeasibility (0 ≤ negative rhs).
+    // On the simplex a row is at least its smallest active coefficient, so
+    // a row whose smallest coefficient exceeds its bound witnesses
+    // infeasibility (a row with no support on active atoms: `0 ≤ rhs < 0`).
     for (coeffs, rhs) in rows {
-        if *rhs < -1e-12 && act.iter().all(|&a| coeffs[a].abs() <= 1e-14) {
+        let floor = act.iter().map(|&a| coeffs[a]).fold(f64::INFINITY, f64::min);
+        if floor - rhs > 1e-12 {
             return Err(EntropyError::Infeasible);
         }
     }
@@ -569,46 +445,36 @@ fn cholesky_solve(h: &[f64], f: usize, mu: f64, rhs: &[f64]) -> Option<Vec<f64>>
 mod tests {
     use super::*;
 
-    /// Simplex rows `Σ p = 1` plus extra inequality rows.
-    fn with_simplex(n: usize, mut extra: Vec<(Vec<f64>, f64)>) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let mut a = vec![vec![1.0; n], vec![-1.0; n]];
-        let mut b = vec![1.0, -1.0];
-        for (row, rhs) in extra.drain(..) {
-            a.push(row);
-            b.push(rhs);
-        }
-        (a, b)
+    /// The maxent point over `{p ∈ Δ : rows}` with no atom pre-pinned.
+    fn maxent(n: usize, rows: &[(Vec<f64>, f64)]) -> Result<Vec<f64>, EntropyError> {
+        maximize_entropy_dual(rows, &vec![false; n], n)
     }
 
     #[test]
     fn unconstrained_simplex_is_uniform() {
         for n in [2usize, 4, 8] {
-            let (a, b) = with_simplex(n, vec![]);
-            let p = maximize_entropy(&a, &b, n).unwrap();
+            let p = maxent(n, &[]).unwrap();
             for &x in &p {
-                assert!((x - 1.0 / n as f64).abs() < 1e-6, "n={n}: {p:?}");
+                assert!((x - 1.0 / n as f64).abs() < 1e-12, "n={n}: {p:?}");
             }
         }
     }
 
     #[test]
     fn pinned_coordinate() {
-        // p0 ≤ 0.3: maxent puts 0.3 on p0 only if entropy prefers it; with
-        // n=2 the unconstrained max is (1/2,1/2) → constraint binds at 0.3?
-        // No: uniform (0.5,0.5) violates p0 ≤ 0.3, so optimum is (0.3,0.7).
-        let (a, b) = with_simplex(2, vec![(vec![1.0, 0.0], 0.3)]);
-        let p = maximize_entropy(&a, &b, 2).unwrap();
-        assert!((p[0] - 0.3).abs() < 1e-6, "{p:?}");
-        assert!((p[1] - 0.7).abs() < 1e-6);
+        // Uniform (0.5, 0.5) violates p0 ≤ 0.3, so the bound binds and the
+        // optimum is (0.3, 0.7).
+        let p = maxent(2, &[(vec![1.0, 0.0], 0.3)]).unwrap();
+        assert!((p[0] - 0.3).abs() < 1e-10, "{p:?}");
+        assert!((p[1] - 0.7).abs() < 1e-10);
     }
 
     #[test]
     fn zero_coordinate() {
-        let (a, b) = with_simplex(3, vec![(vec![0.0, 0.0, 1.0], 0.0)]);
-        let p = maximize_entropy(&a, &b, 3).unwrap();
-        assert!(p[2].abs() < 1e-9);
+        let p = maxent(3, &[(vec![0.0, 0.0, 1.0], 0.0)]).unwrap();
+        assert_eq!(p[2], 0.0);
         assert!(
-            (p[0] - 0.5).abs() < 1e-6 && (p[1] - 0.5).abs() < 1e-6,
+            (p[0] - 0.5).abs() < 1e-10 && (p[1] - 0.5).abs() < 1e-10,
             "{p:?}"
         );
     }
@@ -618,29 +484,32 @@ mod tests {
         // The Black-birds example (paper Example 5.29), atoms ordered
         // (B∧Bl, B∧¬Bl, ¬B∧Bl, ¬B∧¬Bl): ||Bird|| = 0.1, ||Black|Bird|| = 0.2
         // → p0+p1 = 0.1, p0 = 0.02 → maxent splits the rest: p2 = p3 = 0.45.
-        let (a, b) = with_simplex(
+        let p = maxent(
             4,
-            vec![
+            &[
                 (vec![1.0, 1.0, 0.0, 0.0], 0.1),
                 (vec![-1.0, -1.0, 0.0, 0.0], -0.1),
                 // p0 = 0.2 (p0 + p1):
                 (vec![0.8, -0.2, 0.0, 0.0], 0.0),
                 (vec![-0.8, 0.2, 0.0, 0.0], 0.0),
             ],
-        );
-        let p = maximize_entropy(&a, &b, 4).unwrap();
-        assert!((p[0] - 0.02).abs() < 1e-5, "{p:?}");
-        assert!((p[1] - 0.08).abs() < 1e-5);
-        assert!((p[2] - 0.45).abs() < 1e-5);
-        assert!((p[3] - 0.45).abs() < 1e-5);
+        )
+        .unwrap();
+        assert!((p[0] - 0.02).abs() < 1e-10, "{p:?}");
+        assert!((p[1] - 0.08).abs() < 1e-10);
+        assert!((p[2] - 0.45).abs() < 1e-10);
+        assert!((p[3] - 0.45).abs() < 1e-10);
         // Pr(Black(Clyde)) = p0 + p2 = 0.47 — the paper's number.
-        assert!((p[0] + p[2] - 0.47).abs() < 1e-4);
+        assert!((p[0] + p[2] - 0.47).abs() < 1e-10);
     }
 
     #[test]
     fn infeasible_polytope() {
-        let (a, b) = with_simplex(2, vec![(vec![1.0, 1.0], 0.5)]); // Σ=1 but ≤ 0.5
-        assert_eq!(maximize_entropy(&a, &b, 2), Err(EntropyError::Infeasible));
+        // Σ p = 1 but p0 + p1 ≤ 0.5.
+        assert_eq!(
+            maxent(2, &[(vec![1.0, 1.0], 0.5)]),
+            Err(EntropyError::Infeasible)
+        );
     }
 
     #[test]
@@ -722,16 +591,9 @@ mod tests {
     fn kl_projection_matches_lagrangian_solution() {
         // max H s.t. p0 + p1 = 0.6 over 4 coords: closed form p0=p1=0.3,
         // p2=p3=0.2.
-        let (a, b) = with_simplex(
-            4,
-            vec![
-                (vec![1.0, 1.0, 0.0, 0.0], 0.6),
-                (vec![-1.0, -1.0, 0.0, 0.0], -0.6),
-            ],
-        );
-        let p = maximize_entropy(&a, &b, 4).unwrap();
+        let p = maxent(4, &band(4, &[0, 1], 0.6, 0.6)).unwrap();
         for (i, expect) in [0.3, 0.3, 0.2, 0.2].iter().enumerate() {
-            assert!((p[i] - expect).abs() < 1e-6, "{p:?}");
+            assert!((p[i] - expect).abs() < 1e-10, "{p:?}");
         }
     }
 }

@@ -6,11 +6,14 @@
 //! One-shot `rwq query` re-parses and re-fingerprints its knowledge base
 //! on every invocation and throws the warm
 //! [`AnswerCache`](rw_core::AnswerCache) away on exit. This crate keeps
-//! all of that **resident**: a readiness event loop ([`mod@server`],
-//! driven by a direct-syscall [`mod@poll`] over nonblocking sockets)
-//! speaks the same JSONL request/response format as `rwq batch`,
-//! multiplexing thousands of connections — each a small [`mod@conn`]
-//! state machine — on one thread. A [`registry::KbRegistry`] holds named
+//! all of that **resident**: a readiness event loop (driven by a
+//! direct-syscall [`mod@poll`] over nonblocking sockets) speaks the same
+//! JSONL request/response format as `rwq batch`, multiplexing thousands
+//! of connections — each a small [`mod@conn`] state machine — on one
+//! thread. That one loop runs both fronts: the engine [`mod@server`]
+//! (`rwq serve`) and the consistent-hash [`mod@shard`] router
+//! (`rwq shard`); each supplies only its per-line handler and its
+//! worker threads. A [`registry::KbRegistry`] holds named
 //! loaded KBs (each with its fingerprint computed once and a pinned
 //! engine — exact or Monte-Carlo), and a scoped-thread worker pool
 //! behind a **bounded admission queue** answers queries through one
@@ -42,6 +45,7 @@
 pub mod client;
 pub mod conn;
 pub mod format;
+mod front;
 pub mod json;
 pub mod poll;
 pub mod proto;

@@ -13,6 +13,7 @@
 //! with a recursion-depth cap: hostile input (unclosed nesting, huge
 //! numbers, bad escapes) yields an `Err`, not a stack overflow.
 
+use rw_core::McConfig;
 use std::fmt;
 
 // ---------------------------------------------------------------------
@@ -403,6 +404,14 @@ impl ProtoError {
         }
     }
 
+    /// An [`ErrorCode::Overloaded`] error: retryable load shedding.
+    pub(crate) fn overloaded(message: impl Into<String>) -> ProtoError {
+        ProtoError {
+            code: ErrorCode::Overloaded,
+            message: message.into(),
+        }
+    }
+
     /// The `{"ok":false,"error":...,"code":...}` response line.
     pub fn line(&self) -> String {
         format!(
@@ -445,6 +454,21 @@ pub struct ApproxParams {
     pub seed: Option<u64>,
     /// Target CI half-width in (0, 0.5) (`--ci`).
     pub ci: Option<f64>,
+}
+
+impl ApproxParams {
+    /// The sampler configuration these knobs describe on `threads`
+    /// workers; unset knobs take the [`McConfig::default`] values.
+    pub fn mc_config(&self, threads: usize) -> McConfig {
+        let defaults = McConfig::default();
+        McConfig {
+            seed: self.seed.unwrap_or(defaults.seed),
+            threads,
+            max_samples: self.samples.unwrap_or(defaults.max_samples),
+            target_ci: self.ci.unwrap_or(defaults.target_ci),
+            ..defaults
+        }
+    }
 }
 
 /// Optional exact-counting knobs on a `load` request: the symmetry mode

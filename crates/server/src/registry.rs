@@ -12,7 +12,7 @@
 
 use crate::format;
 use crate::proto::{ApproxParams, KbSource, ProtoError, ScanParams};
-use rw_core::{AnswerCache, DenomCache, McConfig, RandomWorlds};
+use rw_core::{AnswerCache, DenomCache, RandomWorlds};
 use rw_logic::KnowledgeBase;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -60,16 +60,7 @@ impl LoadedKb {
         denoms: Arc<DenomCache>,
     ) -> LoadedKb {
         let mut engine = RandomWorlds::new().with_denom_cache(denoms);
-        if let Some(params) = approx {
-            let defaults = McConfig::default();
-            engine.approx = Some(McConfig {
-                seed: params.seed.unwrap_or(defaults.seed),
-                threads: 1,
-                max_samples: params.samples.unwrap_or(defaults.max_samples),
-                target_ci: params.ci.unwrap_or(defaults.target_ci),
-                ..defaults
-            });
-        }
+        engine.approx = approx.map(|params| params.mc_config(1));
         // Scan knobs must land before the stage cascade is pinned — the
         // enumeration stage captures its configuration at build time.
         engine.enum_symmetry = scan.symmetry;

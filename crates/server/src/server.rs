@@ -1,5 +1,5 @@
-//! The persistent TCP serving loop — a single-threaded readiness event
-//! loop in front of the worker pool.
+//! The persistent TCP serving front (`rwq serve`) — a single-threaded
+//! readiness event loop in front of the engine worker pool.
 //!
 //! ```text
 //!                 ┌──────────────────────────── rw-server ────────────────────────────┐
@@ -32,7 +32,10 @@
 //! the per-connection slot queue guarantees answers flush in request
 //! order no matter how workers interleave.
 //!
-//! Overload and lifecycle behaviors, all on the loop thread:
+//! The event loop itself is shared with the [`crate::shard`] front: this
+//! module supplies only the per-line handler (registry dispatch), the
+//! engine workers, and the periodic snapshot checkpoint. Overload and
+//! lifecycle behaviors, all on the loop thread:
 //!
 //! - **fd exhaustion** (`EMFILE`/`ENFILE` from `accept`): shed the
 //!   oldest idle connection and retry, or — with none to shed — pause
@@ -46,26 +49,22 @@
 //! - **graceful drain** (`shutdown` op or [`Server::stop`]): reading
 //!   stops, in-flight requests complete and flush, new connections are
 //!   refused with `shutting-down`, and the loop exits when every
-//!   connection has drained (hard deadline: 10s).
+//!   connection has drained (hard deadline: 10s). Counted as
+//!   `conns.drain` plus `conns.drain.signal` or `conns.drain.shutdown`.
 //!
 //! Everything is std-only: `std::net` sockets, a direct-syscall `ppoll`
 //! ([`crate::poll`]), `std::thread::scope` workers, `Mutex`/`Condvar`
 //! queue.
 
-use crate::conn::{Conn, Frame};
-use crate::poll::{self, PollFd, POLLHUP, POLLIN, POLLOUT};
+use crate::front::{count, Front, Handled, Handler};
 use crate::proto::{self, ErrorCode, ProtoError, Request};
-use crate::queue::{JobQueue, PushError};
 use crate::registry::{KbRegistry, LoadedKb};
 use rw_core::{AnswerCache, StageTotals};
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
+use std::io::Write;
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// How a [`Server`] is built.
@@ -127,25 +126,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-connection request-line cap. A line beyond this is answered with
-/// one `bad-request` error and skipped (the connection resynchronizes
-/// at the next newline); with the fixed-size chunk reads this bounds a
-/// connection's buffering no matter what the client streams. Inline
-/// `load` texts for realistic KBs are kilobytes, so 4 MiB is generous.
-pub const MAX_LINE: usize = 4 << 20;
-
-/// Hard ceiling on a graceful drain: connections that have not
-/// delivered everything they owe within this window are force-closed so
-/// [`Server::run`] always returns.
-const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
-
-/// Largest accept burst per loop iteration — bounds time spent away
-/// from established connections when a connect storm hits.
-const ACCEPT_BURST: usize = 256;
-
-/// Read chunks consumed per connection per iteration (fairness: one
-/// fast writer may not monopolize the loop).
-const READS_PER_TICK: usize = 16;
+pub use crate::front::MAX_LINE;
 
 /// Lifetime counters the `stats` op reports.
 #[derive(Default)]
@@ -160,7 +141,7 @@ enum Work {
     Sleep { ms: u64 },
 }
 
-struct Job {
+pub(crate) struct Job {
     work: Work,
     /// The connection whose response slot `seq` this job answers.
     conn: u64,
@@ -174,64 +155,19 @@ struct Job {
     trace_id: u64,
 }
 
-/// A finished job on its way back from a worker to the event loop.
-struct Completion {
-    conn: u64,
-    seq: u64,
-    line: String,
-}
-
-/// How the event loop should deliver a request's answer.
-enum Handled {
-    /// Answered on the loop thread: fill the slot now.
-    Inline {
-        line: String,
-        /// The request asked the server to shut down; close this
-        /// connection once the acknowledgment flushes.
-        shutdown: bool,
-    },
-    /// Admitted to the worker queue; the slot fills on completion.
-    Queued,
-}
-
-impl Handled {
-    fn inline(line: String) -> Handled {
-        Handled::Inline {
-            line,
-            shutdown: false,
-        }
-    }
-}
-
 /// A bound, resident serving process: KB registry, shared cache, worker
 /// pool and admission queue. [`Server::run`] blocks until a `shutdown`
 /// request (or [`Server::stop`]) arrives and the graceful drain
 /// finishes.
 pub struct Server {
-    listener: TcpListener,
+    /// Listener, admission queue and drain state of the shared loop.
+    front: Front<Job>,
     registry: KbRegistry,
-    queue: JobQueue<Job>,
     /// One slot per worker (the `batch.rs` per-worker-shard pattern):
     /// the hot path locks only its own uncontended slot; `stats` merges
     /// them on demand.
     totals: Vec<Mutex<Totals>>,
-    /// Worker → event-loop handoff: finished jobs land here and a byte
-    /// on the wake pipe interrupts the loop's `ppoll`.
-    completions: Mutex<Vec<Completion>>,
-    /// Write end of the wake pipe, present while [`Server::run`] lives.
-    wake: Mutex<Option<UnixStream>>,
-    rejected: AtomicU64,
-    accept_errors: AtomicU64,
-    /// Open connections, mirrored by the event loop for `metrics`.
-    conns_open: AtomicU64,
-    stop: AtomicBool,
-    /// Why the drain began: 0 = not draining, 1 = `shutdown` op /
-    /// [`Server::stop`], 2 = SIGTERM, 3 = SIGINT. First writer wins.
-    drain_reason: std::sync::atomic::AtomicU8,
-    started: Instant,
     threads: usize,
-    max_conns: usize,
-    idle_timeout_ms: u64,
     test_ops: bool,
     slow_log: Option<Mutex<std::fs::File>>,
     slow_ms: u64,
@@ -244,7 +180,12 @@ impl Server {
     /// Binds the listener and builds the serving state; no thread runs
     /// until [`Server::run`].
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
+        let front = Front::bind(
+            &config.addr,
+            config.max_queue,
+            config.max_conns,
+            config.idle_timeout_ms,
+        )?;
         let threads = match config.threads {
             0 => std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -270,23 +211,12 @@ impl Server {
             .transpose()?
             .map(Mutex::new);
         Ok(Server {
-            listener,
+            front,
             registry: KbRegistry::new(Arc::new(AnswerCache::with_shards(config.cache_shards))),
-            queue: JobQueue::new(config.max_queue),
             totals: (0..threads)
                 .map(|_| Mutex::new(Totals::default()))
                 .collect(),
-            completions: Mutex::new(Vec::new()),
-            wake: Mutex::new(None),
-            rejected: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
-            conns_open: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            drain_reason: std::sync::atomic::AtomicU8::new(0),
-            started: Instant::now(),
             threads,
-            max_conns: config.max_conns.max(1),
-            idle_timeout_ms: config.idle_timeout_ms,
             test_ops: config.test_ops,
             slow_log,
             slow_ms: config.slow_ms,
@@ -298,7 +228,7 @@ impl Server {
 
     /// The bound address (the actual port when the config asked for 0).
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.front.local_addr()
     }
 
     /// The KB registry (for preloading before [`Server::run`]).
@@ -313,45 +243,31 @@ impl Server {
 
     /// The admission-queue capacity.
     pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
+        self.front.queue().capacity()
     }
 
     /// The open-connection ceiling.
     pub fn max_conns(&self) -> usize {
-        self.max_conns
+        self.front.max_conns()
     }
 
     /// The idle-eviction timeout in milliseconds (0 = never evict).
     pub fn idle_timeout_ms(&self) -> u64 {
-        self.idle_timeout_ms
+        self.front.idle_timeout_ms()
     }
 
     /// Requests shutdown: the event loop drains gracefully (in-flight
     /// requests complete, new accepts are refused) and [`Server::run`]
     /// returns.
     pub fn stop(&self) {
-        self.begin_stop(1);
-    }
-
-    /// Starts the drain, recording why (first reason wins).
-    fn begin_stop(&self, reason: u8) {
-        let _ = self
-            .drain_reason
-            .compare_exchange(0, reason, Ordering::SeqCst, Ordering::SeqCst);
-        self.stop.store(true, Ordering::SeqCst);
-        self.wake_loop();
+        self.front.stop();
     }
 
     /// Why the server is draining (or drained), when it is:
     /// `"shutdown"` (the wire op or [`Server::stop`]), `"SIGTERM"`, or
     /// `"SIGINT"`.
     pub fn drain_reason(&self) -> Option<&'static str> {
-        match self.drain_reason.load(Ordering::SeqCst) {
-            1 => Some("shutdown"),
-            2 => Some("SIGTERM"),
-            3 => Some("SIGINT"),
-            _ => None,
-        }
+        self.front.drain_reason()
     }
 
     /// Restores a snapshot from the configured directory, if any. Call
@@ -378,7 +294,7 @@ impl Server {
             return;
         };
         if let Err(e) = crate::snapshot::save(dir, &self.registry) {
-            Self::count("snapshot.save_errors");
+            count("snapshot.save_errors");
             // Surfacing once per failure on stderr keeps the operator
             // informed without touching the stdout JSONL contract.
             eprintln!(
@@ -388,354 +304,18 @@ impl Server {
         }
     }
 
-    /// Writes one byte into the wake pipe so a blocked `ppoll` returns
-    /// now. Best-effort: a full pipe already guarantees a wakeup, and a
-    /// missing pipe means no loop is running.
-    fn wake_loop(&self) {
-        if let Some(stream) = self.wake.lock().expect("wake lock poisoned").as_ref() {
-            let mut writer = stream;
-            let _ = writer.write(&[1]);
-        }
-    }
-
-    /// Serves until shutdown, then drains. Workers and the event loop
-    /// all live in one scope, so returning means everything is joined.
+    /// Serves until shutdown, then drains; returning means the workers
+    /// are joined.
     pub fn run(&self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        *self.wake.lock().expect("wake lock poisoned") = Some(wake_tx);
-        let result = std::thread::scope(|scope| {
-            for worker in 0..self.threads {
-                scope.spawn(move || self.worker_loop(worker));
-            }
-            let result = self.event_loop(&wake_rx);
-            // Workers drain everything already admitted, then exit.
-            self.queue.close();
-            result
-        });
-        *self.wake.lock().expect("wake lock poisoned") = None;
-        // Final checkpoint after the scope: workers are joined, so every
+        let result = crate::front::run(self);
+        // Final checkpoint after the loop: workers are joined, so every
         // admitted query's cache entry is captured.
         self.save_snapshot();
         result
     }
 
-    /// The readiness loop: one `ppoll` over the wake pipe, the listener
-    /// and every connection, then one pass of completions → accepts →
-    /// per-connection IO. Runs until a graceful drain empties the
-    /// connection table (or the drain deadline forces it).
-    fn event_loop(&self, wake_rx: &UnixStream) -> std::io::Result<()> {
-        let mut conns: HashMap<u64, Conn> = HashMap::new();
-        let mut next_id: u64 = 0;
-        // fd-exhaustion backoff: accepting pauses until the deadline,
-        // doubling on repeat up to one second.
-        let mut accept_pause: Option<Instant> = None;
-        let mut backoff = Duration::from_millis(10);
-        let mut drain_deadline: Option<Instant> = None;
-        let idle_timeout =
-            (self.idle_timeout_ms > 0).then(|| Duration::from_millis(self.idle_timeout_ms));
-        let mut fds: Vec<PollFd> = Vec::new();
-        let mut ids: Vec<u64> = Vec::new();
-        let mut chunk = [0u8; 8192];
-        let mut frames: Vec<Frame> = Vec::new();
-        let mut last_snapshot = Instant::now();
-        let snapshot_interval = Duration::from_millis(self.snapshot_interval_ms);
-
-        loop {
-            // ---- lifecycle: signals, drain, closes, idle eviction ----
-            if let Some(signo) = crate::signal::take() {
-                // A supervisor's SIGTERM (or an operator's Ctrl-C) is a
-                // drain request, not a death sentence: same graceful
-                // path as the `shutdown` op.
-                let reason = if signo == crate::signal::SIGINT { 3 } else { 2 };
-                self.begin_stop(reason);
-            }
-            if self.stop.load(Ordering::SeqCst) && drain_deadline.is_none() {
-                drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
-                Self::count("conns.drain");
-                match self.drain_reason() {
-                    Some("SIGTERM") | Some("SIGINT") => Self::count("conns.drain.signal"),
-                    _ => Self::count("conns.drain.shutdown"),
-                }
-                // Stop reading everywhere; finish what each connection
-                // is owed, then close it.
-                for conn in conns.values_mut() {
-                    conn.closing = true;
-                }
-            }
-            if self.snapshot_dir.is_some() && last_snapshot.elapsed() >= snapshot_interval {
-                self.save_snapshot();
-                last_snapshot = Instant::now();
-            }
-            conns.retain(|_, c| !(c.closing && c.drained()));
-            if let Some(deadline) = drain_deadline {
-                if conns.is_empty() || Instant::now() >= deadline {
-                    break;
-                }
-            }
-            if let Some(timeout) = idle_timeout {
-                let now = Instant::now();
-                let evicted: Vec<u64> = conns
-                    .iter()
-                    .filter(|(_, c)| {
-                        c.is_idle() && !c.closing && now.duration_since(c.last_activity) >= timeout
-                    })
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in evicted {
-                    conns.remove(&id);
-                    Self::count("conns.idle_closed");
-                }
-            }
-            self.conns_open.store(conns.len() as u64, Ordering::Relaxed);
-            if rw_obs::enabled() {
-                rw_obs::registry()
-                    .gauge("conns.open")
-                    .set(conns.len() as u64);
-            }
-
-            // ---- build the poll set ----
-            fds.clear();
-            ids.clear();
-            fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
-            if accept_pause.is_some_and(|until| Instant::now() >= until) {
-                accept_pause = None;
-            }
-            // The listener stays polled during drain: connects are
-            // answered with a structured refusal instead of hanging in
-            // the backlog until the listener drops.
-            let listener_idx = if accept_pause.is_none() {
-                fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
-                Some(fds.len() - 1)
-            } else {
-                None
-            };
-            let conn_base = fds.len();
-            for (&id, conn) in &conns {
-                let mut events = 0i16;
-                if !conn.closing && !conn.read_paused() {
-                    events |= POLLIN;
-                }
-                if conn.wants_write() {
-                    events |= POLLOUT;
-                }
-                // events == 0 still reports POLLERR/POLLHUP, which is
-                // exactly what a quiesced connection needs watched.
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-                ids.push(id);
-            }
-            // The wake pipe handles every urgent wakeup (completions,
-            // stop); the timeout only bounds deadline latency.
-            let timeout = if drain_deadline.is_some() || accept_pause.is_some() {
-                Duration::from_millis(10)
-            } else if let Some(t) = idle_timeout {
-                t.clamp(Duration::from_millis(10), Duration::from_millis(250))
-            } else {
-                Duration::from_millis(500)
-            };
-            poll::poll(&mut fds, Some(timeout))?;
-
-            // ---- drain the wake pipe, apply completions ----
-            if fds[0].ready(POLLIN) {
-                let mut wake = wake_rx;
-                while matches!(wake.read(&mut chunk), Ok(n) if n > 0) {}
-            }
-            let done =
-                std::mem::take(&mut *self.completions.lock().expect("completions lock poisoned"));
-            for completion in done {
-                let Some(conn) = conns.get_mut(&completion.conn) else {
-                    // The connection died while its query ran; the
-                    // answer is simply dropped.
-                    continue;
-                };
-                conn.inflight = conn.inflight.saturating_sub(1);
-                conn.fill_slot(completion.seq, completion.line);
-                conn.last_activity = Instant::now();
-                if conn.flush().is_err() {
-                    conns.remove(&completion.conn);
-                }
-            }
-
-            // ---- accept ----
-            if listener_idx.is_some_and(|i| fds[i].ready(POLLIN)) {
-                for _ in 0..ACCEPT_BURST {
-                    match self.listener.accept() {
-                        Ok((stream, _peer)) => {
-                            backoff = Duration::from_millis(10);
-                            let _ = stream.set_nodelay(true);
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            if drain_deadline.is_some() {
-                                Self::refuse(
-                                    stream,
-                                    ProtoError {
-                                        code: ErrorCode::ShuttingDown,
-                                        message: "server is shutting down".to_string(),
-                                    },
-                                );
-                                continue;
-                            }
-                            if conns.len() >= self.max_conns {
-                                Self::refuse(
-                                    stream,
-                                    ProtoError {
-                                        code: ErrorCode::Overloaded,
-                                        message: format!(
-                                            "connection limit reached ({} open); retry later",
-                                            self.max_conns
-                                        ),
-                                    },
-                                );
-                                Self::count("conns.refused");
-                                continue;
-                            }
-                            let id = next_id;
-                            next_id += 1;
-                            conns.insert(id, Conn::new(stream, MAX_LINE));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) => {
-                            self.accept_errors.fetch_add(1, Ordering::Relaxed);
-                            Self::count("accept.errors");
-                            const EMFILE: i32 = 24;
-                            const ENFILE: i32 = 23;
-                            if matches!(e.raw_os_error(), Some(EMFILE) | Some(ENFILE)) {
-                                // fd exhaustion: shed the oldest idle
-                                // connection and retry the accept; with
-                                // nothing to shed, pause accepting with
-                                // exponential backoff (established
-                                // connections keep full service).
-                                let oldest = conns
-                                    .iter()
-                                    .filter(|(_, c)| c.is_idle() && !c.closing)
-                                    .min_by_key(|(_, c)| c.last_activity)
-                                    .map(|(&id, _)| id);
-                                match oldest {
-                                    Some(id) => {
-                                        conns.remove(&id);
-                                        Self::count("conns.idle_closed");
-                                        continue;
-                                    }
-                                    None => {
-                                        accept_pause = Some(Instant::now() + backoff);
-                                        backoff = (backoff * 2).min(Duration::from_secs(1));
-                                        break;
-                                    }
-                                }
-                            }
-                            // Transient (ECONNABORTED & co): the failed
-                            // accept consumed the pending connection;
-                            // return to poll rather than spin here.
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // ---- per-connection IO ----
-            for (slot, &id) in fds[conn_base..].iter().zip(ids.iter()) {
-                let Some(conn) = conns.get_mut(&id) else {
-                    continue; // shed or closed earlier this iteration
-                };
-                if slot.failed() {
-                    conns.remove(&id);
-                    continue;
-                }
-                if slot.ready(POLLOUT) && conn.flush().is_err() {
-                    conns.remove(&id);
-                    continue;
-                }
-                if conn.closing || !slot.ready(POLLIN | POLLHUP) {
-                    continue;
-                }
-                frames.clear();
-                let mut eof = false;
-                let mut gone = false;
-                for _ in 0..READS_PER_TICK {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.last_activity = Instant::now();
-                            conn.framer.push(&chunk[..n], &mut frames);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            gone = true;
-                            break;
-                        }
-                    }
-                }
-                if gone {
-                    conns.remove(&id);
-                    continue;
-                }
-                if eof {
-                    // Half-close: a final line without a trailing
-                    // newline still deserves its answer; everything
-                    // owed flushes before the connection closes.
-                    if let Some(line) = conn.framer.finish() {
-                        frames.push(Frame::Line(line));
-                    }
-                    conn.closing = true;
-                }
-                let mut acked_shutdown = false;
-                for frame in frames.drain(..) {
-                    let seq = conn.alloc_slot();
-                    match frame {
-                        Frame::Oversized => {
-                            let error = ProtoError::bad_request(format!(
-                                "request line exceeds {MAX_LINE} bytes"
-                            ));
-                            conn.fill_slot(seq, error.line());
-                        }
-                        Frame::Line(line) => match self.handle_line(&line, id, seq) {
-                            Handled::Inline { line, shutdown } => {
-                                conn.fill_slot(seq, line);
-                                acked_shutdown |= shutdown;
-                            }
-                            Handled::Queued => conn.inflight += 1,
-                        },
-                    }
-                }
-                if acked_shutdown {
-                    conn.closing = true;
-                }
-                if conn.flush().is_err() {
-                    conns.remove(&id);
-                }
-            }
-        }
-        self.conns_open.store(0, Ordering::Relaxed);
-        if rw_obs::enabled() {
-            rw_obs::registry().gauge("conns.open").set(0);
-        }
-        Ok(())
-    }
-
-    /// Best-effort one-line rejection for a connection the loop will not
-    /// admit (ceiling reached or draining); the socket is dropped after.
-    fn refuse(mut stream: TcpStream, error: ProtoError) {
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-        let _ = stream.write_all(format!("{}\n", error.line()).as_bytes());
-    }
-
-    /// Increments a registry counter when observability is recording.
-    fn count(name: &str) {
-        if rw_obs::enabled() {
-            rw_obs::registry().counter(name).inc();
-        }
-    }
-
     fn worker_loop(&self, worker: usize) {
-        while let Some(job) = self.queue.pop() {
+        while let Some(job) = self.front.queue().pop() {
             let line = match &job.work {
                 Work::Query { kb, query } => {
                     let queue_wait = job.enqueued.elapsed();
@@ -791,82 +371,11 @@ impl Server {
                     r#"{"ok":true,"op":"sleep"}"#.to_string()
                 }
             };
-            self.complete(job.conn, job.seq, line);
+            self.front.complete(job.conn, job.seq, line);
         }
     }
 
-    /// Hands a finished job back to the event loop and wakes it.
-    fn complete(&self, conn: u64, seq: u64, line: String) {
-        self.completions
-            .lock()
-            .expect("completions lock poisoned")
-            .push(Completion { conn, seq, line });
-        self.wake_loop();
-    }
-
-    /// Answers one request line: control ops inline, `query`/`sleep`
-    /// through the admission queue into slot `seq` of connection `conn`.
-    fn handle_line(&self, line: &str, conn: u64, seq: u64) -> Handled {
-        let request = match proto::parse_request(line) {
-            Ok(r) => r,
-            Err(e) => return Handled::inline(e.line()),
-        };
-        match request {
-            Request::Ping => Handled::inline(r#"{"ok":true,"op":"ping"}"#.to_string()),
-            Request::List => Handled::inline(self.registry.list_json()),
-            Request::Stats => Handled::inline(self.stats_json()),
-            Request::Metrics => Handled::inline(self.metrics_json()),
-            Request::Shutdown => {
-                self.stop();
-                Handled::Inline {
-                    line: r#"{"ok":true,"op":"shutdown"}"#.to_string(),
-                    shutdown: true,
-                }
-            }
-            Request::Unload { kb } => {
-                if self.registry.unload(&kb) {
-                    Handled::inline(format!(
-                        r#"{{"ok":true,"op":"unload","kb":"{}"}}"#,
-                        crate::json::escape(&kb)
-                    ))
-                } else {
-                    Handled::inline(Self::unknown_kb(&kb).line())
-                }
-            }
-            Request::Load {
-                kb,
-                source,
-                approx,
-                scan,
-            } => match self.registry.load(&kb, &source, approx.as_ref(), scan) {
-                Ok(loaded) => Handled::inline(format!(
-                    r#"{{"ok":true,"op":"load","kb":"{}","fingerprint":"{:016x}","statements":{},"approx":{}}}"#,
-                    crate::json::escape(&kb),
-                    loaded.fingerprint,
-                    loaded.kb.conjuncts().len(),
-                    loaded.approx
-                )),
-                Err(e) => Handled::inline(e.line()),
-            },
-            Request::Query { kb, query } => {
-                let Some(loaded) = self.registry.get(&kb) else {
-                    return Handled::inline(Self::unknown_kb(&kb).line());
-                };
-                self.admit(Work::Query { kb: loaded, query }, conn, seq)
-            }
-            Request::Sleep { ms } => {
-                if !self.test_ops {
-                    return Handled::inline(
-                        ProtoError::bad_request("`sleep` is a test-only op").line(),
-                    );
-                }
-                self.admit(Work::Sleep { ms }, conn, seq)
-            }
-        }
-    }
-
-    /// Admits work to the queue; a full queue is answered immediately
-    /// with `overloaded` — the event loop never blocks on admission.
+    /// Admits work to the queue (see [`Front::admit`]).
     fn admit(&self, work: Work, conn: u64, seq: u64) -> Handled {
         let job = Job {
             work,
@@ -875,32 +384,7 @@ impl Server {
             enqueued: Instant::now(),
             trace_id: rw_obs::next_trace_id(),
         };
-        match self.queue.push(job) {
-            Ok(()) => Handled::Queued,
-            Err(PushError::Full) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                if rw_obs::enabled() {
-                    rw_obs::registry().counter("queue.rejected").inc();
-                }
-                Handled::inline(
-                    ProtoError {
-                        code: ErrorCode::Overloaded,
-                        message: format!(
-                            "admission queue full ({} pending); retry later",
-                            self.queue.capacity()
-                        ),
-                    }
-                    .line(),
-                )
-            }
-            Err(PushError::Closed) => Handled::inline(
-                ProtoError {
-                    code: ErrorCode::ShuttingDown,
-                    message: "server is shutting down".to_string(),
-                }
-                .line(),
-            ),
-        }
+        self.front.admit(job)
     }
 
     /// Writes the per-request access-log line and — at or over the slow
@@ -970,22 +454,6 @@ impl Server {
             .unwrap_or(0)
     }
 
-    /// The `metrics` op: the full observability-registry snapshot, with
-    /// the admission-queue depth and open-connection gauges refreshed at
-    /// snapshot time.
-    fn metrics_json(&self) -> String {
-        let registry = rw_obs::registry();
-        registry.gauge("queue.depth").set(self.queue.depth() as u64);
-        registry
-            .gauge("conns.open")
-            .set(self.conns_open.load(Ordering::Relaxed));
-        format!(
-            r#"{{"ok":true,"op":"metrics","uptime_us":{},"metrics":{}}}"#,
-            self.started.elapsed().as_micros(),
-            registry.snapshot().to_json(),
-        )
-    }
-
     fn unknown_kb(name: &str) -> ProtoError {
         ProtoError {
             code: ErrorCode::UnknownKb,
@@ -1016,11 +484,11 @@ impl Server {
         let denoms = self.registry.denoms();
         format!(
             r#"{{"ok":true,"op":"stats","uptime_us":{},"kbs":{},"queries":{{"answered":{},"failed":{},"rejected":{}}},"cache":{{"hits":{},"misses":{},"entries":{},"shards":{}}},"denoms":{{"hits":{},"misses":{},"entries":{}}},"queue":{{"depth":{},"capacity":{},"workers":{}}},"stages":[{}]}}"#,
-            self.started.elapsed().as_micros(),
+            self.front.uptime_us(),
             self.registry.len(),
             merged.answered,
             merged.failed,
-            self.rejected.load(Ordering::Relaxed),
+            self.front.rejected(),
             cache.hits(),
             cache.misses(),
             cache.len(),
@@ -1028,10 +496,89 @@ impl Server {
             denoms.hits(),
             denoms.misses(),
             denoms.len(),
-            self.queue.depth(),
-            self.queue.capacity(),
+            self.front.queue().depth(),
+            self.front.queue().capacity(),
             self.threads,
             crate::json::stage_totals_json(&merged.stages),
         )
+    }
+}
+
+impl Handler for Server {
+    type Job = Job;
+
+    fn front(&self) -> &Front<Job> {
+        &self.front
+    }
+
+    /// Answers one request line: control ops inline, `query`/`sleep`
+    /// through the admission queue into slot `seq` of connection `conn`.
+    fn handle_line(&self, line: &str, conn: u64, seq: u64) -> Handled {
+        let request = match proto::parse_request(line) {
+            Ok(r) => r,
+            Err(e) => return Handled::Inline(e.line()),
+        };
+        match request {
+            Request::Ping => Handled::Inline(r#"{"ok":true,"op":"ping"}"#.to_string()),
+            Request::List => Handled::Inline(self.registry.list_json()),
+            Request::Stats => Handled::Inline(self.stats_json()),
+            Request::Metrics => Handled::Inline(self.front.metrics_json()),
+            Request::Shutdown => Handled::Shutdown,
+            Request::Unload { kb } => {
+                if self.registry.unload(&kb) {
+                    Handled::Inline(format!(
+                        r#"{{"ok":true,"op":"unload","kb":"{}"}}"#,
+                        crate::json::escape(&kb)
+                    ))
+                } else {
+                    Handled::Inline(Self::unknown_kb(&kb).line())
+                }
+            }
+            Request::Load {
+                kb,
+                source,
+                approx,
+                scan,
+            } => match self.registry.load(&kb, &source, approx.as_ref(), scan) {
+                Ok(loaded) => Handled::Inline(format!(
+                    r#"{{"ok":true,"op":"load","kb":"{}","fingerprint":"{:016x}","statements":{},"approx":{}}}"#,
+                    crate::json::escape(&kb),
+                    loaded.fingerprint,
+                    loaded.kb.conjuncts().len(),
+                    loaded.approx
+                )),
+                Err(e) => Handled::Inline(e.line()),
+            },
+            Request::Query { kb, query } => {
+                let Some(loaded) = self.registry.get(&kb) else {
+                    return Handled::Inline(Self::unknown_kb(&kb).line());
+                };
+                self.admit(Work::Query { kb: loaded, query }, conn, seq)
+            }
+            Request::Sleep { ms } => {
+                if !self.test_ops {
+                    return Handled::Inline(
+                        ProtoError::bad_request("`sleep` is a test-only op").line(),
+                    );
+                }
+                self.admit(Work::Sleep { ms }, conn, seq)
+            }
+        }
+    }
+
+    fn spawn_threads<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>) {
+        for worker in 0..self.threads {
+            scope.spawn(move || self.worker_loop(worker));
+        }
+    }
+
+    fn checkpoint_interval(&self) -> Option<Duration> {
+        self.snapshot_dir
+            .is_some()
+            .then(|| Duration::from_millis(self.snapshot_interval_ms))
+    }
+
+    fn checkpoint(&self) {
+        self.save_snapshot();
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! ```text
 //!                       ┌───────────── rwq shard ─────────────┐
-//!  client A ──TCP──▶    │ event loop (ppoll, same conn state  │     ┌─ backend 0
-//!  client B ──TCP──▶    │ machines as rw-server)              │──┬─▶│  rwq serve
+//!  client A ──TCP──▶    │ event loop (ppoll; the one loop     │     ┌─ backend 0
+//!  client B ──TCP──▶    │ rwq serve runs too)                 │──┬─▶│  rwq serve
 //!     ⋮                 │   query  → hash(kb ⊕ canonical(q))  │  │  └───────────
 //!  client N ──TCP──▶    │          → ring walk → forward      │  ├─▶ backend 1
 //!                       │   load/unload → broadcast to all    │  │
@@ -45,23 +45,21 @@
 //! stats: per-backend health and forward/failover/error counters),
 //! `load`/`unload` broadcast to every backend, `list` is served by the
 //! first healthy backend, and `query` forwards as above. The event loop
-//! is the same readiness design as [`crate::server`] — one `ppoll` over
-//! nonblocking sockets, bounded admission queue, ordered response
-//! slots, graceful drain on `shutdown`/SIGTERM/SIGINT.
+//! is not a copy: the shard runs the very loop [`crate::server`] runs —
+//! one `ppoll` over nonblocking sockets, bounded admission queue,
+//! ordered response slots, connection ceiling, oversized-line resync,
+//! graceful drain on `shutdown`/SIGTERM/SIGINT — and supplies only its
+//! routing handler, forwarding workers and probe thread. It evicts no
+//! idle connections and takes no snapshots. Drains count as
+//! `conns.drain` plus `conns.drain.signal` or `conns.drain.shutdown`, as
+//! on `rwq serve` (the shard-only `shard.drain` counter is gone).
 
 use crate::client::Client;
-use crate::conn::{Conn, Frame};
-use crate::poll::{self, PollFd, POLLHUP, POLLIN, POLLOUT};
-use crate::proto::{self, ErrorCode, ProtoError, Request};
-use crate::queue::{JobQueue, PushError};
-use crate::server::MAX_LINE;
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use crate::front::{count, Front, Handled, Handler};
+use crate::proto::{self, ProtoError, Request};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// How a [`Shard`] front is built.
@@ -113,12 +111,6 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 const FORWARD_TIMEOUT: Duration = Duration::from_secs(30);
 /// Handshake + ping bound for a health probe.
 const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
-/// Hard ceiling on a graceful drain, as in [`crate::server`].
-const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
-/// Largest accept burst per loop iteration.
-const ACCEPT_BURST: usize = 256;
-/// Read chunks consumed per connection per iteration.
-const READS_PER_TICK: usize = 16;
 
 /// One backend's address and live counters.
 struct Backend {
@@ -147,40 +139,11 @@ enum Route {
 }
 
 /// A request line admitted to the forwarding queue.
-struct Job {
+pub(crate) struct Job {
     line: String,
     route: Route,
     conn: u64,
     seq: u64,
-}
-
-/// A finished forward on its way back to the event loop.
-struct Completion {
-    conn: u64,
-    seq: u64,
-    line: String,
-}
-
-/// How the event loop should deliver a request's answer.
-enum Handled {
-    /// Answered on the loop thread: fill the slot now.
-    Inline {
-        line: String,
-        /// The request asked the shard to shut down; close this
-        /// connection once the acknowledgment flushes.
-        shutdown: bool,
-    },
-    /// Admitted to the forwarding queue; the slot fills on completion.
-    Queued,
-}
-
-impl Handled {
-    fn inline(line: String) -> Handled {
-        Handled::Inline {
-            line,
-            shutdown: false,
-        }
-    }
 }
 
 /// A bound sharding front: client listener, hash ring, backend table,
@@ -188,29 +151,18 @@ impl Handled {
 /// blocks until a `shutdown` request (or [`Shard::stop`], or a handled
 /// signal) arrives and the graceful drain finishes.
 pub struct Shard {
-    listener: TcpListener,
+    /// Listener, admission queue and drain state of the shared loop.
+    front: Front<Job>,
     backends: Vec<Backend>,
     /// `(hash, backend index)` virtual nodes, sorted by hash.
     ring: Vec<(u64, usize)>,
-    queue: JobQueue<Job>,
-    completions: Mutex<Vec<Completion>>,
-    wake: Mutex<Option<UnixStream>>,
-    stop: AtomicBool,
-    /// Why the drain began: 0 = not draining, 1 = `shutdown` op /
-    /// [`Shard::stop`], 2 = SIGTERM, 3 = SIGINT. First writer wins.
-    drain_reason: AtomicU8,
-    started: Instant,
     threads: usize,
-    max_conns: usize,
     probe_interval_ms: u64,
     retry: u32,
     retry_backoff_ms: u64,
-    conns_open: AtomicU64,
     forwarded: AtomicU64,
     failovers: AtomicU64,
     retries: AtomicU64,
-    rejected: AtomicU64,
-    accept_errors: AtomicU64,
 }
 
 impl Shard {
@@ -223,7 +175,8 @@ impl Shard {
                 "a shard needs at least one backend address",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
+        // Idle timeout 0: the shard never evicts idle connections.
+        let front = Front::bind(&config.addr, config.max_queue, config.max_conns, 0)?;
         let mut backends = Vec::with_capacity(config.backends.len());
         for addr in &config.backends {
             let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
@@ -255,32 +208,22 @@ impl Shard {
             n => n,
         };
         Ok(Shard {
-            listener,
+            front,
             backends,
             ring,
-            queue: JobQueue::new(config.max_queue),
-            completions: Mutex::new(Vec::new()),
-            wake: Mutex::new(None),
-            stop: AtomicBool::new(false),
-            drain_reason: AtomicU8::new(0),
-            started: Instant::now(),
             threads,
-            max_conns: config.max_conns.max(1),
             probe_interval_ms: config.probe_interval_ms.max(20),
             retry: config.retry,
             retry_backoff_ms: config.retry_backoff_ms.max(1),
-            conns_open: AtomicU64::new(0),
             forwarded: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
         })
     }
 
     /// The bound client-facing address.
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.front.local_addr()
     }
 
     /// Forwarding worker threads the pool will run.
@@ -296,47 +239,19 @@ impl Shard {
     /// Requests shutdown: the event loop drains gracefully and
     /// [`Shard::run`] returns. Backends are *not* shut down.
     pub fn stop(&self) {
-        self.begin_stop(1);
-    }
-
-    /// Starts the drain, recording why (first reason wins).
-    fn begin_stop(&self, reason: u8) {
-        let _ = self
-            .drain_reason
-            .compare_exchange(0, reason, Ordering::SeqCst, Ordering::SeqCst);
-        self.stop.store(true, Ordering::SeqCst);
-        self.wake_loop();
+        self.front.stop();
     }
 
     /// Why the shard is draining (or drained), when it is: `"shutdown"`,
     /// `"SIGTERM"`, or `"SIGINT"`.
     pub fn drain_reason(&self) -> Option<&'static str> {
-        match self.drain_reason.load(Ordering::SeqCst) {
-            1 => Some("shutdown"),
-            2 => Some("SIGTERM"),
-            3 => Some("SIGINT"),
-            _ => None,
-        }
-    }
-
-    /// Writes one byte into the wake pipe so a blocked `ppoll` returns
-    /// now. Best-effort, as in [`crate::server`].
-    fn wake_loop(&self) {
-        if let Some(stream) = self.wake.lock().expect("wake lock poisoned").as_ref() {
-            let mut writer = stream;
-            let _ = writer.write(&[1]);
-        }
+        self.front.drain_reason()
     }
 
     /// Serves until shutdown, then drains. Workers, the probe thread
     /// and the event loop all live in one scope, so returning means
     /// everything is joined.
     pub fn run(&self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        *self.wake.lock().expect("wake lock poisoned") = Some(wake_tx);
         // One synchronous probe round before serving: a backend that is
         // down at startup should not cost the first queries its retry
         // budget.
@@ -345,19 +260,7 @@ impl Shard {
                 .healthy
                 .store(Self::probe(&backend.sock), Ordering::SeqCst);
         }
-        let result = std::thread::scope(|scope| {
-            for _ in 0..self.threads {
-                scope.spawn(|| self.worker_loop());
-            }
-            scope.spawn(|| self.probe_loop());
-            let result = self.event_loop(&wake_rx);
-            // Workers drain everything already admitted, then exit; the
-            // probe thread sees `stop` and returns.
-            self.queue.close();
-            result
-        });
-        *self.wake.lock().expect("wake lock poisoned") = None;
-        result
+        crate::front::run(self)
     }
 
     // ---- routing ----
@@ -409,13 +312,13 @@ impl Shard {
         // reuses a warm connection; a stale one (backend restarted)
         // costs a reconnect, not an error.
         let mut pool: Vec<Option<Client>> = (0..self.backends.len()).map(|_| None).collect();
-        while let Some(job) = self.queue.pop() {
+        while let Some(job) = self.front.queue().pop() {
             let line = match job.route {
                 Route::Query { hash } => self.forward_query(hash, &job.line, &mut pool),
                 Route::Broadcast => self.forward_broadcast(&job.line, &mut pool),
                 Route::First => self.forward_first(&job.line, &mut pool),
             };
-            self.complete(job.conn, job.seq, line);
+            self.front.complete(job.conn, job.seq, line);
         }
     }
 
@@ -444,17 +347,12 @@ impl Shard {
                 self.backends[primary]
                     .failovers
                     .fetch_add(1, Ordering::Relaxed);
-                Self::count("shard.failover");
+                count("shard.failover");
                 return annotate_failover(&resp);
             }
             return resp;
         }
-        Self::count("shard.no_backend");
-        ProtoError {
-            code: ErrorCode::Overloaded,
-            message: "no backend available; retry later".to_string(),
-        }
-        .line()
+        no_backend("no backend available; retry later")
     }
 
     /// `load`/`unload` go to every backend so registries stay in
@@ -480,12 +378,7 @@ impl Shard {
         if let Some(line) = ok_line {
             return line;
         }
-        Self::count("shard.no_backend");
-        ProtoError {
-            code: ErrorCode::Overloaded,
-            message: "no backend reachable; retry later".to_string(),
-        }
-        .line()
+        no_backend("no backend reachable; retry later")
     }
 
     /// `list`: any backend's answer is every backend's answer.
@@ -496,12 +389,7 @@ impl Shard {
                 return resp;
             }
         }
-        Self::count("shard.no_backend");
-        ProtoError {
-            code: ErrorCode::Overloaded,
-            message: "no backend reachable; retry later".to_string(),
-        }
-        .line()
+        no_backend("no backend reachable; retry later")
     }
 
     /// One attempt chain against one backend: pooled connection, then
@@ -529,7 +417,7 @@ impl Shard {
         for attempt in 0..=self.retry {
             if attempt > 0 {
                 self.retries.fetch_add(1, Ordering::Relaxed);
-                Self::count("shard.retries");
+                count("shard.retries");
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(Duration::from_secs(2));
             }
@@ -553,7 +441,7 @@ impl Shard {
         }
         backend.healthy.store(false, Ordering::SeqCst);
         backend.errors.fetch_add(1, Ordering::Relaxed);
-        Self::count("shard.backend_errors");
+        count("shard.backend_errors");
         None
     }
 
@@ -564,7 +452,7 @@ impl Shard {
         let backend = &self.backends[idx];
         backend.healthy.store(false, Ordering::SeqCst);
         backend.errors.fetch_add(1, Ordering::Relaxed);
-        Self::count("shard.backend.draining");
+        count("shard.backend.draining");
     }
 
     // ---- health probes ----
@@ -578,12 +466,12 @@ impl Shard {
             for backend in &self.backends {
                 let healthy = Self::probe(&backend.sock);
                 let was = backend.healthy.swap(healthy, Ordering::SeqCst);
-                Self::count("shard.health.probes");
+                count("shard.health.probes");
                 if !healthy {
-                    Self::count("shard.health.failures");
+                    count("shard.health.failures");
                 }
                 if was != healthy {
-                    Self::count(if healthy {
+                    count(if healthy {
                         "shard.backend.up"
                     } else {
                         "shard.backend.down"
@@ -603,7 +491,7 @@ impl Shard {
             // Sleep in small slices so a drain is honored promptly.
             let mut waited = Duration::ZERO;
             while waited < interval {
-                if self.stop.load(Ordering::SeqCst) {
+                if self.front.stopping() {
                     return;
                 }
                 let step = Duration::from_millis(20).min(interval - waited);
@@ -629,343 +517,6 @@ impl Shard {
         )
     }
 
-    // ---- event loop (same readiness design as crate::server) ----
-
-    /// Hands a finished forward back to the event loop and wakes it.
-    fn complete(&self, conn: u64, seq: u64, line: String) {
-        self.completions
-            .lock()
-            .expect("completions lock poisoned")
-            .push(Completion { conn, seq, line });
-        self.wake_loop();
-    }
-
-    /// Answers one request line: control ops inline, everything that
-    /// touches a backend through the admission queue.
-    fn handle_line(&self, line: &str, conn: u64, seq: u64) -> Handled {
-        let request = match proto::parse_request(line) {
-            Ok(r) => r,
-            Err(e) => return Handled::inline(e.line()),
-        };
-        match request {
-            Request::Ping => Handled::inline(r#"{"ok":true,"op":"ping"}"#.to_string()),
-            Request::Stats => Handled::inline(self.stats_json()),
-            Request::Metrics => Handled::inline(self.metrics_json()),
-            Request::Shutdown => {
-                self.stop();
-                Handled::Inline {
-                    line: r#"{"ok":true,"op":"shutdown"}"#.to_string(),
-                    shutdown: true,
-                }
-            }
-            Request::Sleep { .. } => {
-                Handled::inline(ProtoError::bad_request("`sleep` is a test-only op").line())
-            }
-            Request::Query { ref kb, ref query } => self.admit(
-                Route::Query {
-                    hash: Self::route_hash(kb, query),
-                },
-                line,
-                conn,
-                seq,
-            ),
-            Request::Load { .. } | Request::Unload { .. } => {
-                self.admit(Route::Broadcast, line, conn, seq)
-            }
-            Request::List => self.admit(Route::First, line, conn, seq),
-        }
-    }
-
-    /// Admits a request line to the forwarding queue; a full queue is
-    /// answered immediately with `overloaded`.
-    fn admit(&self, route: Route, line: &str, conn: u64, seq: u64) -> Handled {
-        let job = Job {
-            line: line.to_string(),
-            route,
-            conn,
-            seq,
-        };
-        match self.queue.push(job) {
-            Ok(()) => Handled::Queued,
-            Err(PushError::Full) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                Self::count("queue.rejected");
-                Handled::inline(
-                    ProtoError {
-                        code: ErrorCode::Overloaded,
-                        message: format!(
-                            "admission queue full ({} pending); retry later",
-                            self.queue.capacity()
-                        ),
-                    }
-                    .line(),
-                )
-            }
-            Err(PushError::Closed) => Handled::inline(
-                ProtoError {
-                    code: ErrorCode::ShuttingDown,
-                    message: "server is shutting down".to_string(),
-                }
-                .line(),
-            ),
-        }
-    }
-
-    /// The readiness loop; structurally the same as
-    /// [`crate::server::Server`]'s, minus idle eviction and snapshots
-    /// (the shard holds no KB state worth persisting).
-    fn event_loop(&self, wake_rx: &UnixStream) -> std::io::Result<()> {
-        let mut conns: HashMap<u64, Conn> = HashMap::new();
-        let mut next_id: u64 = 0;
-        let mut accept_pause: Option<Instant> = None;
-        let mut backoff = Duration::from_millis(10);
-        let mut drain_deadline: Option<Instant> = None;
-        let mut fds: Vec<PollFd> = Vec::new();
-        let mut ids: Vec<u64> = Vec::new();
-        let mut chunk = [0u8; 8192];
-        let mut frames: Vec<Frame> = Vec::new();
-
-        loop {
-            // ---- lifecycle: signals, drain, closes ----
-            if let Some(signo) = crate::signal::take() {
-                let reason = if signo == crate::signal::SIGINT { 3 } else { 2 };
-                self.begin_stop(reason);
-            }
-            if self.stop.load(Ordering::SeqCst) && drain_deadline.is_none() {
-                drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
-                Self::count("shard.drain");
-                for conn in conns.values_mut() {
-                    conn.closing = true;
-                }
-            }
-            conns.retain(|_, c| !(c.closing && c.drained()));
-            if let Some(deadline) = drain_deadline {
-                if conns.is_empty() || Instant::now() >= deadline {
-                    break;
-                }
-            }
-            self.conns_open.store(conns.len() as u64, Ordering::Relaxed);
-            if rw_obs::enabled() {
-                rw_obs::registry()
-                    .gauge("conns.open")
-                    .set(conns.len() as u64);
-            }
-
-            // ---- build the poll set ----
-            fds.clear();
-            ids.clear();
-            fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
-            if accept_pause.is_some_and(|until| Instant::now() >= until) {
-                accept_pause = None;
-            }
-            let listener_idx = if accept_pause.is_none() {
-                fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
-                Some(fds.len() - 1)
-            } else {
-                None
-            };
-            let conn_base = fds.len();
-            for (&id, conn) in &conns {
-                let mut events = 0i16;
-                if !conn.closing && !conn.read_paused() {
-                    events |= POLLIN;
-                }
-                if conn.wants_write() {
-                    events |= POLLOUT;
-                }
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-                ids.push(id);
-            }
-            let timeout = if drain_deadline.is_some() || accept_pause.is_some() {
-                Duration::from_millis(10)
-            } else {
-                Duration::from_millis(500)
-            };
-            poll::poll(&mut fds, Some(timeout))?;
-
-            // ---- drain the wake pipe, apply completions ----
-            if fds[0].ready(POLLIN) {
-                let mut wake = wake_rx;
-                while matches!(wake.read(&mut chunk), Ok(n) if n > 0) {}
-            }
-            let done =
-                std::mem::take(&mut *self.completions.lock().expect("completions lock poisoned"));
-            for completion in done {
-                let Some(conn) = conns.get_mut(&completion.conn) else {
-                    continue;
-                };
-                conn.inflight = conn.inflight.saturating_sub(1);
-                conn.fill_slot(completion.seq, completion.line);
-                conn.last_activity = Instant::now();
-                if conn.flush().is_err() {
-                    conns.remove(&completion.conn);
-                }
-            }
-
-            // ---- accept ----
-            if listener_idx.is_some_and(|i| fds[i].ready(POLLIN)) {
-                for _ in 0..ACCEPT_BURST {
-                    match self.listener.accept() {
-                        Ok((stream, _peer)) => {
-                            backoff = Duration::from_millis(10);
-                            let _ = stream.set_nodelay(true);
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            if drain_deadline.is_some() {
-                                Self::refuse(
-                                    stream,
-                                    ProtoError {
-                                        code: ErrorCode::ShuttingDown,
-                                        message: "server is shutting down".to_string(),
-                                    },
-                                );
-                                continue;
-                            }
-                            if conns.len() >= self.max_conns {
-                                Self::refuse(
-                                    stream,
-                                    ProtoError {
-                                        code: ErrorCode::Overloaded,
-                                        message: format!(
-                                            "connection limit reached ({} open); retry later",
-                                            self.max_conns
-                                        ),
-                                    },
-                                );
-                                Self::count("conns.refused");
-                                continue;
-                            }
-                            let id = next_id;
-                            next_id += 1;
-                            conns.insert(id, Conn::new(stream, MAX_LINE));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) => {
-                            self.accept_errors.fetch_add(1, Ordering::Relaxed);
-                            Self::count("accept.errors");
-                            const EMFILE: i32 = 24;
-                            const ENFILE: i32 = 23;
-                            if matches!(e.raw_os_error(), Some(EMFILE) | Some(ENFILE)) {
-                                let oldest = conns
-                                    .iter()
-                                    .filter(|(_, c)| c.is_idle() && !c.closing)
-                                    .min_by_key(|(_, c)| c.last_activity)
-                                    .map(|(&id, _)| id);
-                                match oldest {
-                                    Some(id) => {
-                                        conns.remove(&id);
-                                        Self::count("conns.idle_closed");
-                                        continue;
-                                    }
-                                    None => {
-                                        accept_pause = Some(Instant::now() + backoff);
-                                        backoff = (backoff * 2).min(Duration::from_secs(1));
-                                        break;
-                                    }
-                                }
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // ---- per-connection IO ----
-            for (slot, &id) in fds[conn_base..].iter().zip(ids.iter()) {
-                let Some(conn) = conns.get_mut(&id) else {
-                    continue;
-                };
-                if slot.failed() {
-                    conns.remove(&id);
-                    continue;
-                }
-                if slot.ready(POLLOUT) && conn.flush().is_err() {
-                    conns.remove(&id);
-                    continue;
-                }
-                if conn.closing || !slot.ready(POLLIN | POLLHUP) {
-                    continue;
-                }
-                frames.clear();
-                let mut eof = false;
-                let mut gone = false;
-                for _ in 0..READS_PER_TICK {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.last_activity = Instant::now();
-                            conn.framer.push(&chunk[..n], &mut frames);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            gone = true;
-                            break;
-                        }
-                    }
-                }
-                if gone {
-                    conns.remove(&id);
-                    continue;
-                }
-                if eof {
-                    if let Some(line) = conn.framer.finish() {
-                        frames.push(Frame::Line(line));
-                    }
-                    conn.closing = true;
-                }
-                let mut acked_shutdown = false;
-                for frame in frames.drain(..) {
-                    let seq = conn.alloc_slot();
-                    match frame {
-                        Frame::Oversized => {
-                            let error = ProtoError::bad_request(format!(
-                                "request line exceeds {MAX_LINE} bytes"
-                            ));
-                            conn.fill_slot(seq, error.line());
-                        }
-                        Frame::Line(line) => match self.handle_line(&line, id, seq) {
-                            Handled::Inline { line, shutdown } => {
-                                conn.fill_slot(seq, line);
-                                acked_shutdown |= shutdown;
-                            }
-                            Handled::Queued => conn.inflight += 1,
-                        },
-                    }
-                }
-                if acked_shutdown {
-                    conn.closing = true;
-                }
-                if conn.flush().is_err() {
-                    conns.remove(&id);
-                }
-            }
-        }
-        self.conns_open.store(0, Ordering::Relaxed);
-        if rw_obs::enabled() {
-            rw_obs::registry().gauge("conns.open").set(0);
-        }
-        Ok(())
-    }
-
-    /// Best-effort one-line rejection, as in [`crate::server`].
-    fn refuse(mut stream: TcpStream, error: ProtoError) {
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-        let _ = stream.write_all(format!("{}\n", error.line()).as_bytes());
-    }
-
-    /// Increments a registry counter when observability is recording.
-    fn count(name: &str) {
-        if rw_obs::enabled() {
-            rw_obs::registry().counter(name).inc();
-        }
-    }
-
     /// The `stats` op: shard-level routing totals plus one entry per
     /// backend with its health bit and counters.
     fn stats_json(&self) -> String {
@@ -985,32 +536,67 @@ impl Shard {
             .collect();
         format!(
             r#"{{"ok":true,"op":"stats","uptime_us":{},"shard":{{"forwarded":{},"failovers":{},"retries":{},"rejected":{},"backends":[{}]}},"queue":{{"depth":{},"capacity":{},"workers":{}}}}}"#,
-            self.started.elapsed().as_micros(),
+            self.front.uptime_us(),
             self.forwarded.load(Ordering::Relaxed),
             self.failovers.load(Ordering::Relaxed),
             self.retries.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
+            self.front.rejected(),
             backends.join(","),
-            self.queue.depth(),
-            self.queue.capacity(),
+            self.front.queue().depth(),
+            self.front.queue().capacity(),
             self.threads,
         )
     }
+}
 
-    /// The `metrics` op: the observability-registry snapshot with the
-    /// queue-depth and open-connection gauges refreshed.
-    fn metrics_json(&self) -> String {
-        let registry = rw_obs::registry();
-        registry.gauge("queue.depth").set(self.queue.depth() as u64);
-        registry
-            .gauge("conns.open")
-            .set(self.conns_open.load(Ordering::Relaxed));
-        format!(
-            r#"{{"ok":true,"op":"metrics","uptime_us":{},"metrics":{}}}"#,
-            self.started.elapsed().as_micros(),
-            registry.snapshot().to_json(),
-        )
+impl Handler for Shard {
+    type Job = Job;
+
+    fn front(&self) -> &Front<Job> {
+        &self.front
     }
+
+    /// Answers one request line: control ops inline, everything that
+    /// touches a backend through the admission queue.
+    fn handle_line(&self, line: &str, conn: u64, seq: u64) -> Handled {
+        let request = match proto::parse_request(line) {
+            Ok(r) => r,
+            Err(e) => return Handled::Inline(e.line()),
+        };
+        let route = match request {
+            Request::Ping => return Handled::Inline(r#"{"ok":true,"op":"ping"}"#.to_string()),
+            Request::Stats => return Handled::Inline(self.stats_json()),
+            Request::Metrics => return Handled::Inline(self.front.metrics_json()),
+            Request::Shutdown => return Handled::Shutdown,
+            Request::Sleep { .. } => {
+                return Handled::Inline(ProtoError::bad_request("`sleep` is a test-only op").line())
+            }
+            Request::Query { kb, query } => Route::Query {
+                hash: Self::route_hash(&kb, &query),
+            },
+            Request::Load { .. } | Request::Unload { .. } => Route::Broadcast,
+            Request::List => Route::First,
+        };
+        self.front.admit(Job {
+            line: line.to_string(),
+            route,
+            conn,
+            seq,
+        })
+    }
+
+    fn spawn_threads<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>) {
+        for _ in 0..self.threads {
+            scope.spawn(|| self.worker_loop());
+        }
+        scope.spawn(|| self.probe_loop());
+    }
+}
+
+/// The `overloaded` answer for a request no backend could serve.
+fn no_backend(message: &str) -> String {
+    count("shard.no_backend");
+    ProtoError::overloaded(message).line()
 }
 
 /// Whether a backend response line is a drain refusal: those re-route,
